@@ -17,10 +17,9 @@ from .extract import (
     extract_crossing_forest,
     extract_passage_times,
     forest_matches_tree,
-    ingest_csv,
     subcrossing_pmf,
 )
-from .holder import HolderEstimate, holder_histogram, local_holder, window_oscillation
+from .holder import HolderEstimate, holder_histogram, window_oscillation
 from .increments import (
     IncrementRecords,
     IncrementTailFit,
@@ -51,9 +50,9 @@ from .offspring import (
 from .paths import (
     SamplePath,
     SimulationConfig,
+    ingest_csv,
     read_path_csv,
     rescale_path,
-    resample_uniform,
     simulate,
     write_path_csv,
 )

@@ -28,19 +28,20 @@ class WEnsemble:
     samples: np.ndarray
     source: object  # OffspringDistribution
 
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("sample_index,w_value\n")
-            for i, w in enumerate(self.samples):
-                fh.write(f"{i},{float(w)!r}\n")
+
+# Realized populations run above their mean mu^k, so the mean is held well
+# below the int64 limit of 2^63: 2^52 leaves a 2^10 margin.
+MAX_MEAN_POPULATION = 2.0 ** 52
 
 
-def _check_depth(dist, generations, node_budget):
+def check_depth(dist, generations, node_budget=None):
+    """Refuse a population chain whose counts could overflow 64-bit integers."""
     expected = dist.mu ** generations
-    if expected > 2.0 ** 62:
+    if expected > MAX_MEAN_POPULATION:
         raise BudgetError(
             "DEPTH_OVERFLOW",
-            f"expected population mu^k = {expected:.3g} overflows 64-bit counts",
+            f"expected population mu^k = {expected:.3g} exceeds 2^52, "
+            "so 64-bit counts could overflow",
         )
     if node_budget is not None and expected > node_budget:
         raise BudgetError(
@@ -73,6 +74,6 @@ def sample_W(dist, generations, count, seed, node_budget=None):
         raise ConfigError("INVALID_CONFIG", f"generations must be >= 1, got {generations}")
     if count < 1:
         raise ConfigError("INVALID_CONFIG", f"count must be >= 1, got {count}")
-    _check_depth(dist, generations, node_budget)
+    check_depth(dist, generations, node_budget)
     samples = sample_w_range(dist, generations, 0, count, seed)
     return WEnsemble(generations=generations, samples=samples, source=dist)

@@ -18,14 +18,9 @@ import sys
 
 from . import __version__
 from .errors import EXIT_ANALYSIS, EXIT_CONFIG, CebpError, ConfigError
-from .extract import (
-    duration_scale_invariance,
-    estimate_hurst,
-    extract_crossing_forest,
-    ingest_csv,
-)
+from .extract import duration_scale_invariance, estimate_hurst, extract_crossing_forest
 from .offspring import check_assumption_gw, check_assumption_z, make_offspring
-from .paths import SimulationConfig, read_path_csv, simulate, write_path_csv
+from .paths import SimulationConfig, ingest_csv, read_path_csv, simulate, write_path_csv
 from .treeio import write_trees
 from .verify import MODULUS_SPECS, SUITES, run_suite
 
@@ -137,10 +132,7 @@ def cmd_simulate(args):
         root_mode=args.root_mode, horizon=args.horizon, seed=args.seed,
         node_budget=args.node_budget,
     )
-    path.meta["tool"] = "cebp"
-    path.meta["version"] = __version__
-    path.meta["command"] = "simulate"
-    path.meta["config"] = resolved
+    path.meta.update(_artifact("simulate", resolved))
     trees = path.meta.pop("trees", None)
     write_path_csv(path, f"{args.out}.csv", f"{args.out}.json")
     if trees is not None:
@@ -164,6 +156,8 @@ def _forest_records(forest):
 
 
 def cmd_analyze(args):
+    if args.path is None or args.levels is None:
+        raise ConfigError("INVALID_CONFIG", "analyze needs --path and --levels")
     sidecar = args.sidecar
     if sidecar is None:
         candidate = re.sub(r"\.csv$", ".json", args.path)
@@ -201,9 +195,8 @@ def cmd_analyze(args):
     return 0
 
 
-def _modulus_overrides(args):
-    """Translate --H / --depth (effective) / --seeds to modulus suite specs."""
-    overrides = {}
+def _modulus_specs(args):
+    """MODULUS_SPECS narrowed by --H and moved to the effective --depth."""
     specs = list(MODULUS_SPECS)
     if args.hurst is not None:
         specs = [s for s in specs
@@ -221,81 +214,65 @@ def _modulus_overrides(args):
                 )
             adjusted.append({**s, "w_generations": k})
         specs = adjusted
-    overrides["specs"] = tuple(specs)
-    if args.seeds is not None:
-        overrides["n_seeds"] = args.seeds
-    if args.l_range is not None:
-        overrides["l_range"] = _parse_range(args.l_range)
-    return overrides
+    return tuple(specs)
 
 
-_VERIFY_CONFIG_KEYS = (
-    "family", "p", "lam", "b", "pmf", "samples", "records", "paths",
-    "queries", "t", "level", "levels", "depth", "hurst", "seeds", "l_range",
-)
+# Per suite: (flag dest, suite keyword) for each flag the suite takes.  Every
+# flag that is given reaches its suite; --family goes in as the family spec,
+# or as a one-element list where the suite takes several families.
+_SUITE_FLAGS = {
+    "w-tail": (("family", "families"), ("samples", "n_samples")),
+    "increments": (("family", "family"), ("records", "n_records"), ("t", "t"),
+                   ("depth", "depth")),
+    "remaining-time": (("family", "family"), ("paths", "n_paths"),
+                       ("queries", "queries_per_path"), ("level", "level"),
+                       ("depth", "depth")),
+    "modulus": (("hurst", "specs"), ("depth", "specs"), ("seeds", "n_seeds"),
+                ("l_range", "l_range")),
+    "scale-invariance": (("family", "family"), ("depth", "depth"),
+                         ("levels", "levels")),
+    "assumptions": (("family", "families"),),
+}
+
+
+def _suite_kwargs(name, args, spec):
+    kw = {}
+    for dest, key in _SUITE_FLAGS[name]:
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if key == "specs":
+            value = _modulus_specs(args)
+        elif dest == "family":
+            value = [spec] if key == "families" else spec
+        elif dest in ("levels", "l_range"):
+            value = _parse_range(value)
+        kw[key] = value
+    return kw
 
 
 def cmd_verify(args):
     if args.suite is None:
         raise ConfigError("INVALID_CONFIG", "no verification suite given")
+    if args.suite != "all" and args.suite not in SUITES:
+        raise ConfigError(
+            "INVALID_CONFIG",
+            f"unknown suite {args.suite!r} (options: {', '.join(SUITES)}, all)",
+        )
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in SUITES:
-            raise ConfigError(
-                "INVALID_CONFIG",
-                f"unknown suite {name!r} (options: {', '.join(SUITES)}, all)",
-            )
-    overrides = {}
     spec = _family_spec(args, required=False)
-    reports = []
-    for name in names:
-        kw = dict(overrides)
-        if name == "w-tail":
-            if spec:
-                kw["families"] = [spec]
-            if args.samples:
-                kw["n_samples"] = args.samples
-        elif name == "increments":
-            if spec:
-                kw["family"] = spec
-            if args.records:
-                kw["n_records"] = args.records
-            if args.t is not None:
-                kw["t"] = args.t
-            if args.depth is not None:
-                kw["depth"] = args.depth
-        elif name == "remaining-time":
-            if spec:
-                kw["family"] = spec
-            if args.paths:
-                kw["n_paths"] = args.paths
-            if args.queries:
-                kw["queries_per_path"] = args.queries
-            if args.level is not None:
-                kw["level"] = args.level
-            if args.depth is not None:
-                kw["depth"] = args.depth
-        elif name == "modulus":
-            kw.update(_modulus_overrides(args))
-        elif name == "scale-invariance":
-            if spec:
-                kw["family"] = spec
-            if args.depth is not None:
-                kw["depth"] = args.depth
-            if args.levels is not None:
-                kw["levels"] = _parse_range(args.levels)
-        elif name == "assumptions":
-            if spec:
-                kw["families"] = [spec]
-        reports.append(run_suite(name, seed=args.seed, workers=args.workers, **kw)
-                       if name != "assumptions"
-                       else run_suite(name, **kw))
+    # resolve every suite's flags before the first suite runs, so a bad flag
+    # fails at once rather than after the suites ahead of it
+    kwargs = [(name, _suite_kwargs(name, args, spec)) for name in names]
+    reports = [run_suite(name, seed=args.seed, workers=args.workers, **kw)
+               for name, kw in kwargs]
     all_pass = all(r["pass"] for r in reports)
     # workers is an execution detail: results are worker-invariant, so it
     # stays out of the artifact to keep runs byte-comparable.
     resolved = {"suite": args.suite, "seed": args.seed}
-    for key in _VERIFY_CONFIG_KEYS:
-        value = getattr(args, key, None)
+    flags = {dest for table in _SUITE_FLAGS.values() for dest, _ in table}
+    for key in sorted(flags | {"p", "lam", "b", "pmf"}):
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
     artifact = _artifact(
@@ -354,15 +331,14 @@ def cmd_check_dist(args):
 
 
 def cmd_ingest(args):
+    if args.path is None:
+        raise ConfigError("INVALID_CONFIG", "ingest needs --path")
     path = ingest_csv(args.path, time_col=args.time_col,
                       value_col=args.value_col, anchor_origin=args.anchor)
-    path.meta["tool"] = "cebp"
-    path.meta["version"] = __version__
-    path.meta["command"] = "ingest"
-    path.meta["config"] = {
+    path.meta.update(_artifact("ingest", {
         "path": args.path, "time_col": args.time_col,
         "value_col": args.value_col, "anchor": args.anchor,
-    }
+    }))
     write_path_csv(path, f"{args.out}.csv", f"{args.out}.json")
     print(f"wrote {args.out}.csv ({path.n_knots} knots, "
           f"resolution level {path.resolution_level})")
@@ -373,6 +349,11 @@ def cmd_ingest(args):
 # parser
 
 def build_parser():
+    return _build()[0]
+
+
+def _build():
+    """The parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="cebp",
         description="Crossing-tree simulation and verification for canonical "
@@ -396,10 +377,10 @@ def build_parser():
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_an = sub.add_parser("analyze", help="extract crossings and estimates")
-    p_an.add_argument("--path", required=True, help="path CSV file")
+    p_an.add_argument("--path", help="path CSV file")
     p_an.add_argument("--sidecar",
                       help="path sidecar JSON (default: <path>.json if present)")
-    p_an.add_argument("--levels", required=True, help="inclusive lattice range lo:hi")
+    p_an.add_argument("--levels", help="inclusive lattice range lo:hi")
     p_an.add_argument("--mu", type=float, help="scale factor for invariance check")
     p_an.add_argument("--min-crossings", type=int, default=100)
     p_an.add_argument("--emit-plots", action="store_true")
@@ -437,7 +418,7 @@ def build_parser():
     p_chk.set_defaults(fn=cmd_check_dist)
 
     p_ing = sub.add_parser("ingest", help="normalize an external path CSV")
-    p_ing.add_argument("--path", required=True)
+    p_ing.add_argument("--path")
     p_ing.add_argument("--time-col", type=int, default=0)
     p_ing.add_argument("--value-col", type=int, default=1)
     p_ing.add_argument("--anchor", action="store_true",
@@ -445,11 +426,11 @@ def build_parser():
     p_ing.add_argument("--out", default="cebp_ingested")
     p_ing.set_defaults(fn=cmd_ingest)
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(parser, argv):
-    """Pre-scan for --config and install its values as parser defaults."""
+def _apply_config_file(commands, argv):
+    """Pre-scan for --config and install its values as subcommand defaults."""
     cfg_path = None
     rest = []
     i = 0
@@ -474,26 +455,24 @@ def _apply_config_file(parser, argv):
         data = data["config"]  # artifact file: reuse its embedded config
     if not isinstance(data, dict):
         raise ConfigError("INVALID_CONFIG", "config file must hold a JSON object")
-    known = {
-        action.dest for sp in parser._subparsers._group_actions
-        for p in sp.choices.values() for action in p._actions
-    }
-    unknown = set(data) - known
+    # no subcommand option is required, so parsing no arguments yields each
+    # subcommand's full set of option names
+    dests = {p: set(vars(p.parse_args([]))) - {"fn"} for p in commands.values()}
+    unknown = set(data).difference(*dests.values())
     if unknown:
         raise ConfigError(
             "INVALID_CONFIG", f"unknown config keys: {', '.join(sorted(unknown))}"
         )
-    for p in parser._subparsers._group_actions[0].choices.values():
-        p.set_defaults(**{k: v for k, v in data.items()
-                          if k in {a.dest for a in p._actions}})
+    for p, names in dests.items():
+        p.set_defaults(**{k: v for k, v in data.items() if k in names})
     return rest
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = _build()
     try:
-        argv = _apply_config_file(parser, _preprocess_argv(argv))
+        argv = _apply_config_file(commands, _preprocess_argv(argv))
         args = parser.parse_args(argv)
         return args.fn(args)
     except CebpError as exc:

@@ -18,7 +18,6 @@ import numpy as np
 from scipy import stats
 
 from .errors import AnalysisError, ConfigError
-from .paths import SamplePath
 
 __all__ = [
     "LevelCrossings",
@@ -29,7 +28,6 @@ __all__ = [
     "duration_scale_invariance",
     "subcrossing_pmf",
     "forest_matches_tree",
-    "ingest_csv",
 ]
 
 
@@ -283,49 +281,3 @@ def forest_matches_tree(forest, tree, atol=1e-9):
             if not np.array_equal(rec.subcrossing_counts, tree.z[g]):
                 return f"level {n}: subcrossing count mismatch"
     return None
-
-
-def ingest_csv(csv_file, time_col=0, value_col=1, anchor_origin=False):
-    """Read an external two-column CSV into a SamplePath.
-
-    The resolution level is inferred from the smallest nonzero spatial move;
-    ``anchor_origin`` shifts values so the path starts at 0 (extraction
-    anchors lattices at the starting value either way).
-    """
-    times, values, line_nos = [], [], []
-    with open(csv_file) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = [p.strip() for p in line.strip().split(",")]
-            if not line.strip():
-                continue
-            try:
-                times.append(float(parts[time_col]))
-                values.append(float(parts[value_col]))
-                line_nos.append(line_no)
-            except (ValueError, IndexError) as exc:
-                if line_no == 1:
-                    continue  # header row
-                raise ConfigError(
-                    "PARSE_ERROR", f"line {line_no}: cannot parse {line.strip()!r}"
-                ) from exc
-    times = np.asarray(times)
-    values = np.asarray(values)
-    if times.size < 2:
-        raise ConfigError("PARSE_ERROR", "need at least 2 data rows")
-    if np.any(np.diff(times) <= 0):
-        bad = int(np.nonzero(np.diff(times) <= 0)[0][0])
-        raise ConfigError(
-            "NON_MONOTONE_TIME",
-            f"time column is not strictly increasing at line {line_nos[bad + 1]}",
-        )
-    if anchor_origin:
-        values = values - values[0]
-    moves = np.abs(np.diff(values))
-    moves = moves[moves > 0]
-    if moves.size == 0:
-        raise ConfigError("PARSE_ERROR", "path has no spatial variation")
-    resolution = int(np.floor(np.log2(moves.min()) + 1e-9))
-    return SamplePath(
-        times=times, values=values, resolution_level=resolution,
-        hurst=None, mu=None, origin="ingested", meta={"source": str(csv_file)},
-    )

@@ -16,7 +16,6 @@ from .errors import AnalysisError, ConfigError
 __all__ = [
     "HolderEstimate",
     "window_oscillation",
-    "local_holder",
     "holder_histogram",
 ]
 
@@ -66,28 +65,6 @@ def window_oscillation(path, centers, eps):
     return np.maximum(wmax - at_center, at_center - wmin)
 
 
-def _check_eps_levels(eps_levels):
-    levels = sorted(int(j) for j in eps_levels)
-    if len(levels) < 2:
-        raise ConfigError("INVALID_CONFIG", "need at least 2 eps levels for a slope")
-    if len(set(levels)) != len(levels):
-        raise ConfigError("INVALID_CONFIG", "eps levels must be distinct")
-    return levels
-
-
-def local_holder(path, t, eps_levels):
-    """Regression estimate of the Holder exponent of the path at time t."""
-    levels = _check_eps_levels(eps_levels)
-    eps = 2.0 ** -np.array(levels, dtype=float)
-    osc = np.array([window_oscillation(path, t, e)[0] for e in eps])
-    if np.any(osc <= 0):
-        raise AnalysisError(
-            "EPS_RANGE_INFEASIBLE", f"zero oscillation around t={t}; path is flat there"
-        )
-    slope = np.polyfit(np.log(eps), np.log(osc), 1)[0]
-    return float(slope)
-
-
 @dataclass
 class HolderEstimate:
     """Grid of local exponent estimates with histogram and coarse spectrum."""
@@ -129,7 +106,11 @@ def holder_histogram(path, n_grid, eps_levels, bins=20, bin_range=None):
     """
     if n_grid < 2:
         raise ConfigError("INVALID_CONFIG", f"need n_grid >= 2, got {n_grid}")
-    levels = _check_eps_levels(eps_levels)
+    levels = sorted(int(j) for j in eps_levels)
+    if len(levels) < 2:
+        raise ConfigError("INVALID_CONFIG", "need at least 2 eps levels for a slope")
+    if len(set(levels)) != len(levels):
+        raise ConfigError("INVALID_CONFIG", "eps levels must be distinct")
     eps = 2.0 ** -np.array(levels, dtype=float)
     eps_max = eps.max()
     t0, t1 = float(path.times[0]), float(path.times[-1])

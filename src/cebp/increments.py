@@ -17,7 +17,6 @@ Two ensemble experiments:
   current level-n subcrossing within its enclosing level-(n+1) crossing.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,9 +24,9 @@ import numpy as np
 from .errors import ConfigError
 from .extract import extract_passage_times
 from .holder import _window_extrema
-from .offspring import OffspringDistribution
+from .offspring import OffspringDistribution, make_offspring
 from .paths import SimulationConfig, simulate
-from .rng import STREAM_GAP, STREAM_INCREMENT, STREAM_QUERY, substream
+from .rng import STREAM_GAP, STREAM_INCREMENT, STREAM_QUERY, map_blocks, substream
 from .tailfit import TailFit, fit_log_minus_log, quantile_grid
 
 __all__ = [
@@ -69,12 +68,12 @@ class IncrementRecords:
         return int(self.plain.size)
 
 
-def _increment_chunk(dist_spec, depth, horizon, t, master_seed, lo, hi):
+def _increment_chunk(dist, depth, horizon, t, master_seed, lo, hi):
     plain = np.empty(hi - lo)
     sup = np.empty(hi - lo)
     for i in range(lo, hi):
         cfg = SimulationConfig(
-            offspring=dist_spec, depth=depth, duration_mode="mean",
+            offspring=dist, depth=depth, duration_mode="mean",
             root_mode="tile", target_horizon=horizon,
             seed=(master_seed, STREAM_INCREMENT, i), keep_trees=False,
         )
@@ -102,29 +101,19 @@ def increment_records(dist, t, n_records, master_seed,
         dist_spec = {"family": dist.family, **dist.params}
     else:
         dist_spec = dict(dist)
-    cfg = SimulationConfig(offspring=dist_spec, depth=depth)
-    hurst = cfg.resolve_offspring().hurst
+        dist = make_offspring(**dist_spec)
     if not 0 < t < 0.9 * horizon:
         raise ConfigError(
             "INVALID_CONFIG", f"need 0 < t < 0.9 * horizon, got t={t}"
         )
     if n_records < 1:
         raise ConfigError("INVALID_CONFIG", f"need n_records >= 1, got {n_records}")
-    args = (dist_spec, depth, horizon, t, master_seed)
-    if workers <= 1:
-        plain, sup = _increment_chunk(*args, 0, n_records)
-    else:
-        bounds = np.linspace(0, n_records, 4 * workers + 1).astype(int)
-        jobs = [
-            (*args, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_increment_chunk, *zip(*jobs)))
-        plain = np.concatenate([p for p, _ in parts])
-        sup = np.concatenate([s for _, s in parts])
+    parts = map_blocks(_increment_chunk, n_records,
+                       (dist, depth, horizon, t, master_seed), workers)
+    plain = np.concatenate([p for p, _ in parts])
+    sup = np.concatenate([s for _, s in parts])
     return IncrementRecords(
-        t=float(t), hurst=float(hurst), plain=plain, sup=sup,
+        t=float(t), hurst=float(dist.hurst), plain=plain, sup=sup,
         meta={"family": dist_spec, "depth": depth, "horizon": horizon,
               "seed": master_seed, "n_records": int(n_records)},
     )

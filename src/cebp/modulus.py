@@ -123,12 +123,34 @@ class ModulusReport:
         }
 
 
+def band_stability(levels, ratios, band_tol=0.25, max_band_ratio=10.0):
+    """Band [a, b] of per-level ratios and its stability verdict.
+
+    Returns (a, b, split_level, halves, stable).  The halves are the bands of
+    the lower and upper halves of the level range, which share the middle
+    level.  Stable means a > 0, b <= max_band_ratio * a, and the halves'
+    endpoints agree within ``band_tol`` relative to their mean.
+    """
+    levels = np.asarray(levels)
+    mid = (int(levels[0]) + int(levels[-1])) // 2
+    first, second = ratios[levels <= mid], ratios[levels >= mid]
+    a, b = float(ratios.min()), float(ratios.max())
+    halves = {
+        "first": (float(first.min()), float(first.max())),
+        "second": (float(second.min()), float(second.max())),
+    }
+    close = all(abs(p - q) <= band_tol * 0.5 * (abs(p) + abs(q))
+                for p, q in zip(halves["first"], halves["second"]))
+    return a, b, mid, halves, bool(a > 0 and b <= max_band_ratio * a and close)
+
+
 def modulus_ratio(path, l_range, hurst=None, band_tol=0.25, max_band_ratio=10.0):
     """Ratios R(2**-l) for l in [lo, hi] plus a band-stability verdict.
 
-    ``stable`` means the ratio band is narrower than ``max_band_ratio`` and
-    its endpoints move less than ``band_tol`` (relative) between the lower
-    and upper halves of the level range (the halves share the middle level).
+    ``stable`` is the verdict of ``band_stability``: the band is positive,
+    narrower than ``max_band_ratio``, and its endpoints move less than
+    ``band_tol`` (relative) between the lower and upper halves of the level
+    range.
     """
     lo, hi = int(l_range[0]), int(l_range[1])
     if lo > hi:
@@ -141,28 +163,12 @@ def modulus_ratio(path, l_range, hurst=None, band_tol=0.25, max_band_ratio=10.0)
     deltas = 2.0 ** -np.array(ls, dtype=float)
     sups = np.array([oscillation_table(path, d).chaining_sup for d in deltas])
     ratios = sups / h_modulus(deltas, hurst)
-    r_min, r_max = float(ratios.min()), float(ratios.max())
-    mid = (lo + hi) // 2
-    first = ratios[np.array(ls) <= mid]
-    second = ratios[np.array(ls) >= mid]
-    halves = {
-        "split_level": mid,
-        "first": (float(first.min()), float(first.max())),
-        "second": (float(second.min()), float(second.max())),
-    }
-
-    def _close(a, b):
-        return abs(a - b) <= band_tol * 0.5 * (abs(a) + abs(b))
-
-    stable = (
-        r_max <= max_band_ratio * r_min
-        and _close(halves["first"][0], halves["second"][0])
-        and _close(halves["first"][1], halves["second"][1])
-    )
+    r_min, r_max, mid, halves, stable = band_stability(ls, ratios, band_tol, max_band_ratio)
+    halves = {"split_level": mid, **halves}
     return ModulusReport(
         hurst=float(hurst), l_values=ls, deltas=deltas, sups=sups,
         ratios=ratios, ratio_min=r_min, ratio_max=r_max,
-        stable=bool(stable), halves=halves,
+        stable=stable, halves=halves,
         meta={"band_tol": band_tol, "max_band_ratio": max_band_ratio,
               "origin": path.origin},
     )

@@ -31,9 +31,9 @@ __all__ = [
     "build_path",
     "simulate",
     "rescale_path",
-    "resample_uniform",
     "write_path_csv",
     "read_path_csv",
+    "ingest_csv",
 ]
 
 
@@ -77,9 +77,7 @@ class SimulationConfig:
     def resolve_offspring(self):
         if isinstance(self.offspring, OffspringDistribution):
             return self.offspring
-        spec = dict(self.offspring)
-        family = spec.pop("family")
-        return make_offspring(family, **spec)
+        return make_offspring(**self.offspring)
 
     def validate(self):
         if self.depth < 1:
@@ -201,15 +199,6 @@ def rescale_path(path, n):
     )
 
 
-def resample_uniform(path, n_points):
-    """(time, value) pairs at n_points equally spaced times across the span."""
-    if n_points < 2:
-        raise ConfigError("INVALID_CONFIG", f"need at least 2 points, got {n_points}")
-    t = np.linspace(path.times[0], path.times[-1], n_points)
-    t[-1] = path.times[-1]  # guard against rounding past the final knot
-    return np.column_stack([t, path.value_at(t)])
-
-
 def write_path_csv(path, csv_file, sidecar_file=None):
     """Export `time,value` rows; optionally a JSON sidecar with the metadata."""
     with open(csv_file, "w") as fh:
@@ -229,30 +218,59 @@ def write_path_csv(path, csv_file, sidecar_file=None):
             fh.write("\n")
 
 
-def read_path_csv(csv_file, sidecar_file=None):
-    """Read a previously exported path; exact float round trip."""
-    times, values = [], []
+def _read_columns(csv_file, time_col=0, value_col=1):
+    """Validated time and value columns of a CSV file.
+
+    Blank lines and an unparsable first line (a header) are skipped.  Any
+    other unparsable row, a non-finite number or fewer than 2 rows raise
+    PARSE_ERROR; time that does not strictly increase raises
+    NON_MONOTONE_TIME.  Row errors name their line.
+    """
+    times, values, skipped = [], [], []
     with open(csv_file) as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or (line_no == 1 and line.lower().startswith("time")):
-                continue
+            parts = line.split(",")
             try:
-                t_str, v_str = line.split(",")
-                times.append(float(t_str))
-                values.append(float(v_str))
-            except ValueError as exc:
-                raise ConfigError("PARSE_ERROR", f"line {line_no}: {line!r}") from exc
-    side = {}
-    if sidecar_file is not None:
-        with open(sidecar_file) as fh:
-            side = json.load(fh)
+                t = float(parts[time_col])
+                v = float(parts[value_col])
+            except (ValueError, IndexError) as exc:
+                if line_no > 1 and line.strip():
+                    raise ConfigError(
+                        "PARSE_ERROR", f"line {line_no}: cannot parse {line.strip()!r}"
+                    ) from exc
+                skipped.append(line_no)
+                continue
+            times.append(t)
+            values.append(v)
     times = np.asarray(times)
     values = np.asarray(values)
     if times.size < 2:
         raise ConfigError("PARSE_ERROR", "a path needs at least 2 rows")
-    if np.any(np.diff(times) <= 0):
-        raise ConfigError("NON_MONOTONE_TIME", "time column must be strictly increasing")
+
+    def line_of(row):
+        return np.setdiff1d(np.arange(1, times.size + len(skipped) + 1), skipped)[row]
+
+    finite = np.isfinite(times) & np.isfinite(values)
+    if not finite.all():
+        raise ConfigError(
+            "PARSE_ERROR", f"line {line_of(np.argmin(finite))}: time and value must be finite"
+        )
+    rising = np.diff(times) > 0
+    if not rising.all():
+        raise ConfigError(
+            "NON_MONOTONE_TIME",
+            f"time column is not strictly increasing at line {line_of(np.argmin(rising) + 1)}",
+        )
+    return times, values
+
+
+def read_path_csv(csv_file, sidecar_file=None):
+    """Read a previously exported path; exact float round trip."""
+    times, values = _read_columns(csv_file)
+    side = {}
+    if sidecar_file is not None:
+        with open(sidecar_file) as fh:
+            side = json.load(fh)
     return SamplePath(
         times=times,
         values=values,
@@ -262,4 +280,25 @@ def read_path_csv(csv_file, sidecar_file=None):
         origin=side.get("origin", "ingested"),
         meta={k: v for k, v in side.items()
               if k not in ("resolution_level", "hurst", "mu", "origin")},
+    )
+
+
+def ingest_csv(csv_file, time_col=0, value_col=1, anchor_origin=False):
+    """Read an external CSV, taking time and value from the given columns.
+
+    The resolution level is inferred from the smallest nonzero spatial move;
+    ``anchor_origin`` shifts values so the path starts at 0 (extraction
+    anchors lattices at the starting value either way).
+    """
+    times, values = _read_columns(csv_file, time_col, value_col)
+    if anchor_origin:
+        values = values - values[0]
+    moves = np.abs(np.diff(values))
+    moves = moves[moves > 0]
+    if moves.size == 0:
+        raise ConfigError("PARSE_ERROR", "path has no spatial variation")
+    resolution = int(np.floor(np.log2(moves.min()) + 1e-9))
+    return SamplePath(
+        times=times, values=values, resolution_level=resolution,
+        hurst=None, mu=None, origin="ingested", meta={"source": str(csv_file)},
     )

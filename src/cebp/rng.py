@@ -7,6 +7,8 @@ index, ...), so ensemble members can be generated in any order, on any number
 of workers, and still produce bit-identical output.
 """
 
+from concurrent import futures
+
 import numpy as np
 
 __all__ = [
@@ -44,3 +46,19 @@ def spawn_seed(master_seed, *key):
 def substream(master_seed, *key):
     """A fresh ``numpy.random.Generator`` for the named substream."""
     return np.random.default_rng(spawn_seed(master_seed, *key))
+
+
+def map_blocks(fn, n, args, workers=1):
+    """``fn(*args, lo, hi)`` on blocks covering range(n); results in block order.
+
+    One block runs in this process when ``workers`` is 1; otherwise 4 blocks
+    per worker go to a process pool.  Records keyed by (seed, index) come out
+    the same under any blocking, so callers may concatenate the results.
+    """
+    n_blocks = 1 if workers <= 1 else 4 * workers
+    bounds = np.linspace(0, n, n_blocks + 1).astype(int)
+    jobs = [(*args, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    if len(jobs) <= 1:
+        return [fn(*job) for job in jobs]
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*jobs)))

@@ -47,12 +47,6 @@ class TailFit:
             "target_exponent": self.target_exponent,
         }
 
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("x,p_hat,log_minus_log_p\n")
-            for x, p, y in zip(self.abscissa, self.p_hat, self.log_minus_log_prob):
-                fh.write(f"{float(x)!r},{float(p)!r},{float(y)!r}\n")
-
 
 def fit_log_minus_log(abscissa, p_hat, target_exponent, min_points=4, cls=TailFit, **extra):
     """Fit log(-log p_hat) vs log(abscissa) over points with 0 < p_hat < 1."""

@@ -18,15 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .branching import check_depth
 from .errors import BudgetError, ConfigError
 
 __all__ = [
     "UP",
     "DOWN",
     "DEFAULT_NODE_BUDGET",
-    "CrossingNode",
     "CrossingTree",
-    "generate_orientations",
     "expand_tree",
     "assign_durations",
     "validate_tree",
@@ -39,19 +38,6 @@ DEFAULT_NODE_BUDGET = 10 ** 7
 
 ORIENT_CHARS = {UP: "+", DOWN: "-"}
 CHAR_ORIENTS = {"+": UP, "-": DOWN}
-
-
-@dataclass
-class CrossingNode:
-    """Read-only view of one node, materialized on demand from the arena."""
-
-    level: int
-    position: int
-    orientation: int
-    children_orientations: np.ndarray
-    duration: float | None
-    start_time: float | None
-    parent_position: int | None
 
 
 @dataclass
@@ -83,43 +69,6 @@ class CrossingTree:
     def child_offsets(self, g):
         """Exclusive prefix sums: children of (g, i) are slice [off[i], off[i+1])."""
         return np.concatenate([[0], np.cumsum(self.z[g])])
-
-    def node(self, g, i):
-        if not 0 <= g <= self.depth or not 0 <= i < self.orientations[g].size:
-            raise IndexError(f"no node at generation {g}, position {i}")
-        if g < self.depth:
-            off = self.child_offsets(g)
-            kids = self.orientations[g + 1][off[i]:off[i + 1]]
-        else:
-            kids = np.empty(0, dtype=np.int8)
-        parent = None
-        if g > 0:
-            parent = int(np.searchsorted(self.child_offsets(g - 1), i, side="right") - 1)
-        return CrossingNode(
-            level=self.root_level - g,
-            position=i,
-            orientation=int(self.orientations[g][i]),
-            children_orientations=kids,
-            duration=float(self.durations[g][i]) if self.has_durations else None,
-            start_time=float(self.start_times[g][i]) if self.has_durations else None,
-            parent_position=parent,
-        )
-
-
-def generate_orientations(parent, z, rng):
-    """Orientation vector for one parent's z subcrossings."""
-    if z % 2 != 0 or z < 2:
-        raise ConfigError("INVALID_Z", f"subcrossing count must be even >= 2, got {z}")
-    if parent not in (UP, DOWN):
-        raise ConfigError("INVALID_Z", f"parent orientation must be +1 or -1, got {parent!r}")
-    pairs = z // 2
-    out = np.empty(z, dtype=np.int8)
-    first = rng.integers(0, 2, size=pairs).astype(np.int8) * 2 - 1
-    first[-1] = parent
-    out[0::2] = first
-    out[1::2] = -first
-    out[-1] = parent
-    return out
 
 
 def _expand_generation(orient, z, rng):
@@ -193,6 +142,7 @@ def assign_durations(tree, dist, mode, rng, w_generations=12):
     if mode == "mean":
         leaf_dur = np.full(n_leaves, leaf_scale, dtype=np.float64)
     else:
+        check_depth(dist, w_generations)
         counts = np.ones(n_leaves, dtype=np.int64)
         for _ in range(w_generations):
             counts = dist.population_step(rng, counts)

@@ -4,7 +4,7 @@ Records carry (id, parent_id, level, position, orientation, z) plus duration
 and start_time when assigned.  Node ids run generation-major (root first, then
 generation 1 left to right, and so on), which makes the files diffable and
 lets the reader rebuild the arena without a link-resolution pass.  Floats go
-through Python's shortest round-trip repr, so serialize/deserialize is exact.
+through Python's shortest round-trip repr, so write/read is exact.
 """
 
 import io
@@ -17,7 +17,6 @@ from .tree import CHAR_ORIENTS, ORIENT_CHARS, CrossingTree
 
 __all__ = [
     "serialize_tree",
-    "deserialize_tree",
     "write_trees",
     "read_trees",
 ]
@@ -62,9 +61,7 @@ def _malformed(line_no, why):
     return ConfigError("MALFORMED_RECORD", f"line {line_no}: {why}")
 
 
-def _build_tree(rows, first_line):
-    if not rows:
-        raise _malformed(first_line, "empty tree stream")
+def _build_tree(rows):
     root_level = rows[0][0]["level"]
     by_level = {}
     for rec, line_no in rows:
@@ -105,33 +102,6 @@ def _build_tree(rows, first_line):
     )
 
 
-def _parse_lines(lines):
-    rows = []
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise _malformed(line_no, f"not valid JSON ({exc.msg})") from exc
-        for key in ("id", "level", "position", "orientation", "z"):
-            if key not in rec:
-                raise _malformed(line_no, f"missing field {key!r}")
-        if rec["orientation"] not in CHAR_ORIENTS:
-            raise _malformed(line_no, f"orientation must be '+' or '-', got {rec['orientation']!r}")
-        rows.append((rec, line_no))
-    return rows
-
-
-def deserialize_tree(text):
-    """Parse NDJSON text (one tree) back into a CrossingTree."""
-    rows = _parse_lines(text.splitlines() if isinstance(text, str) else text)
-    if not rows:
-        raise _malformed(1, "empty tree stream")
-    return _build_tree(rows, rows[0][1] if rows else 1)
-
-
 def write_trees(trees, path):
     """Write one or more trees to an NDJSON file (a `tree` field separates them)."""
     with open(path, "w") as fh:
@@ -144,11 +114,22 @@ def write_trees(trees, path):
 
 def read_trees(path):
     """Read an NDJSON file holding one tree or several `tree`-tagged ones."""
-    with open(path) as fh:
-        rows = _parse_lines(fh)
-    if not rows:
-        raise _malformed(1, "empty tree stream")
     groups = {}
-    for rec, line_no in rows:
-        groups.setdefault(rec.get("tree", 0), []).append((rec, line_no))
-    return [_build_tree(groups[key], groups[key][0][1]) for key in sorted(groups)]
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise _malformed(line_no, f"not valid JSON ({exc.msg})") from exc
+            for key in ("id", "level", "position", "orientation", "z"):
+                if key not in rec:
+                    raise _malformed(line_no, f"missing field {key!r}")
+            if rec["orientation"] not in CHAR_ORIENTS:
+                raise _malformed(line_no, f"orientation must be '+' or '-', got {rec['orientation']!r}")
+            groups.setdefault(rec.get("tree", 0), []).append((rec, line_no))
+    if not groups:
+        raise _malformed(1, "empty tree stream")
+    return [_build_tree(groups[key]) for key in sorted(groups)]

@@ -24,11 +24,12 @@ All suites derive every random draw from (seed, record index), so reports
 are identical for any ``workers`` value.
 """
 
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from .branching import WEnsemble, sample_w_range
+from .errors import ConfigError
 from .extract import duration_scale_invariance, extract_crossing_forest
 from .increments import (
     increment_records,
@@ -36,10 +37,10 @@ from .increments import (
     remaining_time_records,
     remaining_time_tail,
 )
-from .modulus import modulus_ratio
+from .modulus import band_stability, modulus_ratio
 from .offspring import check_assumption_gw, check_assumption_z, make_offspring
 from .paths import SimulationConfig, simulate
-from .rng import STREAM_MODULUS, STREAM_PATH
+from .rng import STREAM_MODULUS, STREAM_PATH, map_blocks
 from .tailfit import w_left_tail_fit
 
 __all__ = [
@@ -57,13 +58,6 @@ GEOM_HALF = {"family": "geometric-pairs", "p": 0.5}     # mu 4, H 1/2
 GEOM_THIRD = {"family": "geometric-pairs", "p": 0.25}   # mu 8, H 1/3
 
 
-def _pool_map(fn, jobs, workers):
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(*job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*jobs)))
-
-
 def _family_label(spec):
     params = ", ".join(f"{k}={v}" for k, v in spec.items() if k != "family")
     return f"{spec['family']}({params})"
@@ -72,25 +66,20 @@ def _family_label(spec):
 # ---------------------------------------------------------------------------
 # w-tail
 
-def _w_chunk(spec, generations, start, stop, seed):
-    dist = make_offspring(**spec)
-    return sample_w_range(dist, generations, start, stop, seed)
-
-
 def verify_w_tail(families=None, generations=12, n_samples=1_000_000,
                   seed=0, rel_tol=0.15, r2_min=0.97, workers=1):
     """Left-tail exponent of W for each family; target -H/(1-H)."""
     if families is None:
         families = [GEOM_HALF, GEOM_THIRD]
+    if n_samples < 1:
+        raise ConfigError("INVALID_CONFIG", f"need n_samples >= 1, got {n_samples}")
     results = []
     for spec in families:
         dist = make_offspring(**spec)
-        bounds = np.linspace(0, n_samples, max(1, 4 * workers) + 1).astype(int)
-        jobs = [
-            (spec, generations, int(lo), int(hi), seed)
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-        ]
-        samples = np.concatenate(_pool_map(_w_chunk, jobs, workers))
+        samples = np.concatenate(map_blocks(
+            partial(sample_w_range, master_seed=seed), n_samples,
+            (dist, generations), workers,
+        ))
         ensemble = WEnsemble(generations=generations, samples=samples, source=dist)
         fit = w_left_tail_fit(ensemble)
         ok = fit.relative_error <= rel_tol and fit.r_squared >= r2_min
@@ -167,13 +156,9 @@ def verify_remaining_time(family=None, depth=9, level=-6, n_paths=10,
                           queries_per_path=10_000, seed=0, tol=0.2, workers=1):
     """Pooled remaining-time chord over sampled-duration paths; target -1."""
     spec = GEOM_HALF if family is None else family
-    bounds = np.linspace(0, n_paths, max(1, 2 * workers) + 1).astype(int)
-    jobs = [
-        (spec, depth, level, queries_per_path, seed, int(lo), int(hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-    ]
-    batches = [rec for part in _pool_map(_remaining_chunk, jobs, workers)
-               for rec in part]
+    parts = map_blocks(_remaining_chunk, n_paths,
+                       (spec, depth, level, queries_per_path, seed), workers)
+    batches = [rec for part in parts for rec in part]
     fit = remaining_time_tail(batches)
     ok = abs(fit.slope - fit.target_exponent) <= tol
     return {
@@ -230,34 +215,18 @@ def verify_modulus(specs=MODULUS_SPECS, n_seeds=50, l_range=(4, 12), seed=0,
     The pooled per-seed extremes are reported as diagnostics.
     """
     l_lo, l_hi = int(l_range[0]), int(l_range[1])
-    ls = np.arange(l_lo, l_hi + 1)
-    mid = (l_lo + l_hi) // 2
+    if n_seeds < 1:
+        raise ConfigError("INVALID_CONFIG", f"need n_seeds >= 1, got {n_seeds}")
     results = []
     for k, spec in enumerate(specs):
-        bounds = np.linspace(0, n_seeds, max(1, 2 * workers) + 1).astype(int)
-        jobs = [
-            (spec["family"], spec["depth"], spec["w_generations"],
-             l_lo, l_hi, seed, k, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-        ]
-        ratios = np.vstack(_pool_map(_modulus_chunk, jobs, workers))
+        ratios = np.vstack(map_blocks(
+            _modulus_chunk, n_seeds,
+            (spec["family"], spec["depth"], spec["w_generations"], l_lo, l_hi, seed, k),
+            workers,
+        ))
         per_level = ratios.mean(axis=0)
-        first = per_level[ls <= mid]
-        second = per_level[ls >= mid]
-        a, b = float(per_level.min()), float(per_level.max())
-        halves = {
-            "first": (float(first.min()), float(first.max())),
-            "second": (float(second.min()), float(second.max())),
-        }
-
-        def _close(p, q):
-            return abs(p - q) <= band_tol * 0.5 * (abs(p) + abs(q))
-
-        ok = (
-            a > 0
-            and b <= max_band_ratio * a
-            and _close(halves["first"][0], halves["second"][0])
-            and _close(halves["first"][1], halves["second"][1])
+        a, b, _, halves, ok = band_stability(
+            range(l_lo, l_hi + 1), per_level, band_tol, max_band_ratio,
         )
         hurst = make_offspring(**spec["family"]).hurst
         results.append({

@@ -5,6 +5,7 @@ from scipy import stats
 from cebp.branching import sample_W, sample_w_range
 from cebp.errors import BudgetError, ConfigError
 from cebp.offspring import make_offspring
+from cebp.tree import UP, assign_durations, expand_tree
 
 
 def naive_population(dist, generations, rng):
@@ -87,12 +88,15 @@ def test_depth_overflow_with_budget():
     assert err.value.code == "DEPTH_OVERFLOW"
 
 
-def test_csv_export(tmp_path):
-    dist = make_offspring("fixed-pairs", b=2)
-    ens = sample_W(dist, generations=3, count=4, seed=2)
-    out = tmp_path / "w.csv"
-    ens.write_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "sample_index,w_value"
-    assert lines[1] == "0,1.0"
-    assert len(lines) == 5
+def test_depth_overflow_keeps_headroom_above_the_mean():
+    # 4^31 = 2^62 fits int64 on average, but realized populations exceed it
+    dist = make_offspring("geometric-pairs", p=0.5)
+    with pytest.raises(BudgetError) as err:
+        sample_W(dist, 31, 2000, 0)
+    assert err.value.code == "DEPTH_OVERFLOW"
+    tree = expand_tree(dist, UP, 2, np.random.default_rng(0))
+    with pytest.raises(BudgetError) as err:
+        assign_durations(tree, dist, "sampled", np.random.default_rng(1), w_generations=33)
+    assert err.value.code == "DEPTH_OVERFLOW"
+    # 8^12 = 2^36, the deepest chain the suites use, stays allowed
+    assert sample_W(make_offspring("geometric-pairs", p=0.25), 12, 2, 0).samples.size == 2

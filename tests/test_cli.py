@@ -231,3 +231,74 @@ def test_module_entry_point_reports_version():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("cebp ")
+
+
+def test_analyze_and_ingest_reject_non_finite_values(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_cli("simulate", "--family", "geometric-pairs", "--p", "0.5",
+            "--depth", "4", "--seed", "1", "--out", "run")
+    lines = (tmp_path / "run.csv").read_text().splitlines()
+    lines[5] = lines[5].split(",")[0] + ",nan"
+    (tmp_path / "run.csv").write_text("\n".join(lines) + "\n")
+    assert run_cli("analyze", "--path", "run.csv", "--levels", "-4:0") == 2
+    assert run_cli("ingest", "--path", "run.csv") == 2
+
+
+def test_analyze_reruns_from_its_estimates(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_cli("simulate", "--family", "geometric-pairs", "--p", "0.5",
+            "--depth", "6", "--seed", "11", "--out", "run")
+    assert run_cli("analyze", "--path", "run.csv", "--levels", "-4:0",
+                   "--out", "a1") == 0
+    assert run_cli("analyze", "--config", "a1.estimates.json", "--out", "a2") == 0
+    assert (tmp_path / "a1.estimates.json").read_bytes() == \
+           (tmp_path / "a2.estimates.json").read_bytes()
+    assert (tmp_path / "a1.forest.ndjson").read_bytes() == \
+           (tmp_path / "a2.forest.ndjson").read_bytes()
+
+
+def test_analyze_and_ingest_without_path_are_usage_errors(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_ramp(tmp_path / "ramp.csv", n=4)
+    assert run_cli("analyze", "--levels", "0:1") == 2
+    assert run_cli("analyze", "--path", "ramp.csv") == 2
+    assert run_cli("ingest") == 2
+
+
+def test_sampled_durations_past_overflow_guard_are_budget_errors(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = run_cli("simulate", "--family", "geometric-pairs", "--p", "0.5",
+                   "--depth", "3", "--mode", "sampled", "--w-generations", "33")
+    assert code == 3
+
+
+def test_verify_zero_counts_are_usage_errors(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("verify", "w-tail", "--samples", "0", "--out", "w.json") == 2
+    assert run_cli("verify", "modulus", "--seeds", "0", "--out", "m.json") == 2
+    assert not (tmp_path / "w.json").exists()
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_verify_increments_and_modulus_are_worker_invariant(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for workers in ("1", "3"):
+        run_cli("verify", "increments", "--records", "40", "--depth", "5",
+                "--seed", "2", "--workers", workers, "--out", f"i{workers}.json")
+        run_cli("verify", "modulus", "--H", "0.5", "--depth", "10", "--seeds", "2",
+                "--l-range", "4:8", "--seed", "2", "--workers", workers,
+                "--out", f"m{workers}.json")
+    assert (tmp_path / "i1.json").read_bytes() == (tmp_path / "i3.json").read_bytes()
+    assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m3.json").read_bytes()
+
+
+def test_verify_all_rejects_bad_flags_before_running_a_suite(tmp_path, monkeypatch):
+    import cebp.cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a suite ran before the flags were checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cebp.cli, "run_suite", no_run)
+    # --depth 9 is below the modulus suite's tree depth of 10
+    assert run_cli("verify", "all", "--depth", "9") == 2

@@ -10,10 +10,9 @@ from cebp.extract import (
     extract_crossing_forest,
     extract_passage_times,
     forest_matches_tree,
-    ingest_csv,
     subcrossing_pmf,
 )
-from cebp.paths import SamplePath, SimulationConfig, simulate
+from cebp.paths import SamplePath, SimulationConfig, ingest_csv, simulate
 
 
 def _raw_path(times, values, resolution_level):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cebp.errors import AnalysisError, ConfigError
-from cebp.holder import holder_histogram, local_holder, window_oscillation
+from cebp.holder import holder_histogram, window_oscillation
 from cebp.paths import SamplePath, SimulationConfig, simulate
 
 
@@ -14,6 +14,14 @@ def _path(times, values):
         values=np.asarray(values, dtype=float),
         resolution_level=0, hurst=None, mu=None, origin="ingested",
     )
+
+
+def _exponent_at(path, t, eps_levels, n_grid):
+    """holder_histogram's exponent at grid point t; asserts t lies on its grid."""
+    est = holder_histogram(path, n_grid, eps_levels)
+    k = int(np.argmin(np.abs(est.grid_times - t)))
+    assert est.grid_times[k] == pytest.approx(t, abs=1e-12)
+    return est.exponents[k]
 
 
 def _oscillation_oracle(path, center, eps):
@@ -36,7 +44,7 @@ def test_ramp_oscillation_is_eps():
 
 def test_ramp_exponent_is_one():
     ramp = _path([0.0, 1.0], [0.0, 1.0])
-    assert local_holder(ramp, 0.5, range(2, 6)) == pytest.approx(1.0, abs=1e-9)
+    assert _exponent_at(ramp, 0.5, range(2, 6), 3) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_oscillation_matches_bruteforce_oracle():
@@ -62,17 +70,18 @@ def test_window_leaving_domain_rejected():
 def test_square_root_cusp_exponent():
     t = np.linspace(0.0, 1.0, 20001)
     path = _path(t, np.sqrt(np.abs(t - 0.5)))
-    assert local_holder(path, 0.5, range(4, 9)) == pytest.approx(0.5, abs=0.02)
+    # the grid of 15 points from 1/16 to 15/16 holds both 1/2 and 1/4
+    assert _exponent_at(path, 0.5, range(4, 9), 15) == pytest.approx(0.5, abs=0.02)
     # away from the cusp the function is smooth with nonzero slope
-    assert local_holder(path, 0.25, range(4, 9)) == pytest.approx(1.0, abs=0.05)
+    assert _exponent_at(path, 0.25, range(4, 9), 15) == pytest.approx(1.0, abs=0.05)
 
 
 def test_eps_levels_validation():
     ramp = _path([0.0, 1.0], [0.0, 1.0])
     with pytest.raises(ConfigError):
-        local_holder(ramp, 0.5, [3])
+        holder_histogram(ramp, 16, [3])
     with pytest.raises(ConfigError):
-        local_holder(ramp, 0.5, [3, 3])
+        holder_histogram(ramp, 16, [3, 3])
 
 
 def test_histogram_ramp_control():

@@ -12,6 +12,7 @@ from cebp.increments import (
     remaining_time_records,
     remaining_time_tail,
 )
+from cebp.offspring import make_offspring
 from cebp.paths import SamplePath, SimulationConfig, simulate
 
 GEOM = {"family": "geometric-pairs", "p": 0.5}
@@ -130,3 +131,20 @@ def test_remaining_time_on_simulated_path():
     assert fit.interior_fraction > 0.9
     assert np.all(rec.y >= 0)
     assert rec.y.max() >= 2
+
+
+def test_increment_records_build_the_offspring_law_once(monkeypatch):
+    import cebp.increments
+    import cebp.paths
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return make_offspring(*args, **kwargs)
+
+    for module in (cebp.increments, cebp.paths):
+        monkeypatch.setattr(module, "make_offspring", counting)
+    rec = increment_records(GEOM, t=0.05, n_records=20, master_seed=3, depth=4)
+    assert len(calls) == 1
+    assert rec.meta["family"] == GEOM

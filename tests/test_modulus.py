@@ -106,3 +106,10 @@ def test_simulated_sandwich_small_tree():
         s = oscillation_table(path, delta).chaining_sup
         exact = brute_force_modulus(path, delta)
         assert exact <= s * (1 + 1e-12) <= 3.0 * exact * (1 + 2e-12)
+
+
+def test_constant_path_is_not_stable():
+    flat = _path(np.linspace(0.0, 1.0, 65), np.zeros(65), hurst=0.5)
+    report = modulus_ratio(flat, (2, 4))
+    assert np.all(report.ratios == 0)
+    assert report.stable is False

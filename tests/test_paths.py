@@ -7,8 +7,8 @@ from cebp.offspring import make_offspring
 from cebp.paths import (
     SimulationConfig,
     build_path,
+    ingest_csv,
     read_path_csv,
-    resample_uniform,
     rescale_path,
     simulate,
     write_path_csv,
@@ -142,21 +142,18 @@ def test_rescale_distributional_invariance():
     assert ks.pvalue > 1e-3
 
 
-def test_resample_uniform():
+def test_value_at_on_uniform_grid():
     dist = make_offspring("fixed-pairs", b=2)
     path = build_path(make_tree(dist, 2, 2))
-    two = resample_uniform(path, 2)
-    assert np.allclose(two[0], [0.0, 0.0])
-    assert np.allclose(two[1], [1.0, 1.0])
-    grid = resample_uniform(path, 33)
+    assert np.allclose(path.value_at([0.0, 1.0]), [0.0, 1.0])
+    grid = np.linspace(0.0, 1.0, 33)
+    values = path.value_at(grid)
     # knot times are on the uniform grid here, so knot values are exact
-    knot_idx = np.searchsorted(grid[:, 0], path.times)
-    assert np.allclose(grid[knot_idx, 1], path.values, atol=1e-12)
+    knot_idx = np.searchsorted(grid, path.times)
+    assert np.allclose(values[knot_idx], path.values, atol=1e-12)
     # midway between knots the interpolation averages the neighbors
     mid = (path.times[3] + path.times[4]) / 2.0
     assert path.value_at(mid) == pytest.approx((path.values[3] + path.values[4]) / 2.0)
-    with pytest.raises(ConfigError):
-        resample_uniform(path, 1)
 
 
 def test_csv_round_trip(tmp_path):
@@ -187,3 +184,26 @@ def test_csv_parse_error_line_number(tmp_path):
     with pytest.raises(ConfigError) as err:
         read_path_csv(f)
     assert "line 3" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 1])
+def test_csv_rejects_non_finite(tmp_path, bad, column):
+    rows = [["0.0", "0.0"], ["1.0", "1.0"], ["2.0", "0.0"]]
+    rows[1][column] = bad
+    f = tmp_path / "bad.csv"
+    f.write_text("time,value\n" + "".join(f"{t},{v}\n" for t, v in rows))
+    for reader in (read_path_csv, ingest_csv):
+        with pytest.raises(ConfigError) as err:
+            reader(f)
+        assert err.value.code == "PARSE_ERROR"
+        assert "line 3" in str(err.value)
+
+
+def test_csv_line_numbers_count_skipped_lines(tmp_path):
+    f = tmp_path / "gappy.csv"
+    f.write_text("time,value\n0.0,0.0\n\n1.0,1.0\n\n0.5,2.0\n")
+    with pytest.raises(ConfigError) as err:
+        read_path_csv(f)
+    assert err.value.code == "NON_MONOTONE_TIME"
+    assert "line 6" in str(err.value)

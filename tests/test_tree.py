@@ -1,40 +1,43 @@
 import numpy as np
 import pytest
 
-from cebp.errors import BudgetError, ConfigError
+from cebp.errors import BudgetError
 from cebp.offspring import make_offspring
 from cebp.tree import (
     DOWN,
     UP,
+    _expand_generation,
     assign_durations,
     expand_tree,
-    generate_orientations,
     validate_tree,
 )
+
+
+def orientations(parent, z, n, rng):
+    """Children orientations of n parents with the same orientation and z, one row each."""
+    out = _expand_generation(np.full(n, parent, dtype=np.int8),
+                             np.full(n, z, dtype=np.int64), rng)
+    return out.reshape(n, z)
 
 
 def test_orientations_z2_deterministic():
     rng = np.random.default_rng(0)
     for parent in (UP, DOWN):
-        out = generate_orientations(parent, 2, rng)
+        out = orientations(parent, 2, 1, rng)[0]
         assert np.array_equal(out, [parent, parent])
 
 
 def test_orientations_z4_structure():
-    rng = np.random.default_rng(1)
-    seen = set()
-    for _ in range(200):
-        out = generate_orientations(DOWN, 4, rng)
-        assert tuple(out[2:]) == (DOWN, DOWN)
-        assert out[0] == -out[1]
-        seen.add(tuple(out[:2]))
-    assert seen == {(1, -1), (-1, 1)}
+    draws = orientations(DOWN, 4, 200, np.random.default_rng(1))
+    assert np.all(draws[:, 2:] == DOWN)
+    assert np.all(draws[:, 0] == -draws[:, 1])
+    assert {tuple(row[:2]) for row in draws} == {(1, -1), (-1, 1)}
 
 
 def test_orientations_z6_frequencies():
     rng = np.random.default_rng(2)
     n = 100000
-    draws = np.array([generate_orientations(UP, 6, rng) for _ in range(n)])
+    draws = orientations(UP, 6, n, rng)
     # two independent excursion pairs; all four patterns equally likely
     patterns, counts = np.unique(draws[:, [0, 2]], axis=0, return_counts=True)
     assert patterns.shape[0] == 4
@@ -46,9 +49,10 @@ def test_orientations_z6_frequencies():
 
 @pytest.mark.parametrize("bad_z", [0, 1, 3, -2])
 def test_orientations_invalid_z(bad_z):
-    with pytest.raises(ConfigError) as err:
-        generate_orientations(UP, bad_z, np.random.default_rng(0))
-    assert err.value.code == "INVALID_Z"
+    dist = make_offspring("fixed-pairs", b=2)
+    tree = expand_tree(dist, UP, 1, np.random.default_rng(0))
+    tree.z[0] = np.array([bad_z])
+    assert "children counts must be even >= 2" in validate_tree(tree)
 
 
 def test_expand_fixed_pairs_node_count():
@@ -150,19 +154,19 @@ def test_sampled_matches_deeper_mean_mode_root_law():
     assert ks.statistic < 0.04
 
 
-def test_node_view():
+def test_child_offsets_address_the_arena():
     dist = make_offspring("fixed-pairs", b=2)
     tree = expand_tree(dist, UP, 2, np.random.default_rng(16))
     assign_durations(tree, dist, "mean", np.random.default_rng(0))
-    root = tree.node(0, 0)
-    assert root.level == 0 and root.parent_position is None
-    assert root.children_orientations.size == 4
-    child = tree.node(1, 2)
-    assert child.parent_position == 0
-    assert child.level == -1
-    assert child.start_time == pytest.approx(2 * 0.25)
-    with pytest.raises(IndexError):
-        tree.node(3, 0)
+    root_off = tree.child_offsets(0)
+    assert root_off[1] - root_off[0] == 4
+    off = tree.child_offsets(1)
+    assert np.array_equal(off, 4 * np.arange(5))
+    # node (2, 9) sits under node (1, 2), which sits under the root
+    assert np.searchsorted(off, 9, side="right") - 1 == 2
+    assert np.searchsorted(root_off, 2, side="right") - 1 == 0
+    assert tree.start_times[1][2] == pytest.approx(2 * 0.25)
+    assert tree.start_times[2][off[2]] == tree.start_times[1][2]
 
 
 def test_validator_catches_corruption():
