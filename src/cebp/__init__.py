@@ -58,5 +58,5 @@ from .paths import (
 )
 from .tailfit import TailFit, fit_log_minus_log, quantile_grid, w_left_tail_fit
 from .tree import CrossingTree, assign_durations, expand_tree, validate_tree
-from .treeio import read_trees, serialize_tree, write_trees
+from .treeio import read_trees, write_trees
 from .verify import SUITES, run_suite

@@ -16,11 +16,14 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from . import __version__
 from .errors import EXIT_ANALYSIS, EXIT_CONFIG, CebpError, ConfigError
 from .extract import duration_scale_invariance, estimate_hurst, extract_crossing_forest
 from .offspring import check_assumption_gw, check_assumption_z, make_offspring
-from .paths import SimulationConfig, ingest_csv, read_path_csv, simulate, write_path_csv
+from .paths import (SimulationConfig, ingest_csv, read_path_csv, simulate, write_path_csv,
+                    write_xy_csv)
 from .treeio import write_trees
 from .verify import MODULUS_SPECS, SUITES, run_suite
 
@@ -93,13 +96,6 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_xy_csv(path, header, xs, ys):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for x, y in zip(xs, ys):
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
-
-
 def _artifact(command, config, **body):
     out = {"tool": "cebp", "version": __version__,
            "command": command, "config": config}
@@ -141,18 +137,20 @@ def cmd_simulate(args):
     return 0
 
 
-def _forest_records(forest):
-    for level in sorted(forest.levels):
-        rec = forest.levels[level]
-        for i in range(rec.n):
-            yield {
-                "level": int(level),
-                "position": int(i),
-                "start_time": float(rec.start_times[i]),
-                "end_time": float(rec.end_times[i]),
-                "orientation": "+" if rec.orientations[i] > 0 else "-",
-                "subcrossing_count": int(rec.subcrossing_counts[i]),
-            }
+def _write_forest(forest, path):
+    """NDJSON, one crossing per line with sorted keys, a level's columns at a time.
+
+    A level's records share passage times (end i is start i + 1): format each once.
+    """
+    with open(path, "w") as fh:
+        for level, rec in sorted(forest.levels.items()):
+            times = np.concatenate([rec.start_times[:1], rec.end_times]).tolist()
+            text = list(map(repr, times))
+            fh.writelines(
+                f'{{"end_time": {e}, "level": {level}, "orientation": "{o}", "position": {i}, '
+                f'"start_time": {s}, "subcrossing_count": {c}}}\n'
+                for e, o, i, s, c in zip(text[1:], np.where(rec.orientations > 0, "+", "-").tolist(),
+                                         range(rec.n), text[:-1], rec.subcrossing_counts.tolist()))
 
 
 def cmd_analyze(args):
@@ -179,13 +177,11 @@ def cmd_analyze(args):
         )
     except CebpError as exc:
         report["scale_invariance"] = {"error": str(exc)}
-    with open(f"{args.out}.forest.ndjson", "w") as fh:
-        for record in _forest_records(forest):
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    _write_forest(forest, f"{args.out}.forest.ndjson")
     _write_json(f"{args.out}.estimates.json", report)
     if args.emit_plots:
         ns = sorted(n for n in forest.levels if forest.levels[n].n)
-        _write_xy_csv(
+        write_xy_csv(
             f"{args.out}.mean_duration.csv", "level,mean_duration",
             ns, [forest.levels[n].durations.mean() for n in ns],
         )
@@ -296,14 +292,14 @@ def _emit_verify_plots(out, reports):
     base = out[:-5] if out.endswith(".json") else out
     for r in reports:
         if r["suite"] == "increments" and "curve" in r:
-            _write_xy_csv(f"{base}.increments.csv", "u,p_sup",
-                          r["curve"]["abscissa"], r["curve"]["p_sup"])
+            write_xy_csv(f"{base}.increments.csv", "u,p_sup",
+                         r["curve"]["abscissa"], r["curve"]["p_sup"])
         if r["suite"] == "modulus":
             for fam in r["families"]:
                 tag = fam["family"].replace("(", "_").replace(")", "").replace("=", "")
                 lo, hi = r["config"]["l_range"]
-                _write_xy_csv(f"{base}.modulus.{tag}.csv", "l,mean_ratio",
-                              list(range(lo, hi + 1)), fam["per_level_mean"])
+                write_xy_csv(f"{base}.modulus.{tag}.csv", "l,mean_ratio",
+                             list(range(lo, hi + 1)), fam["per_level_mean"])
 
 
 def cmd_check_dist(args):

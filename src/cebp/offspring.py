@@ -216,11 +216,11 @@ def mean_offspring_matrix(mu_plus, mu_minus):
 
 
 def check_assumption_gw(dist):
-    """Report supercriticality and E[Z log Z] finiteness.
+    """Report supercriticality and E[Z log Z].
 
-    Never raises: returns {passed, supercritical, z_log_z, z_log_z_finite}.
-    The moment is a finite sum over the truncated table, which is exact for
-    bounded laws and accurate to the truncation mass otherwise.
+    Never raises: returns {passed, supercritical, mu, z_log_z}.  The moment is
+    a finite sum over the truncated table, which is exact for bounded laws and
+    accurate to the truncation mass otherwise.
     """
     z = dist.support.astype(np.float64)
     z_log_z = float(np.dot(dist.probs, z * np.log(z)))
@@ -230,7 +230,6 @@ def check_assumption_gw(dist):
         "supercritical": bool(supercritical),
         "mu": dist.mu,
         "z_log_z": z_log_z,
-        "z_log_z_finite": True,
     }
 
 

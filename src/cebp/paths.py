@@ -126,7 +126,7 @@ def _one_tree(dist, config, index):
     assign_durations(
         tree, dist, config.duration_mode,
         substream(config.seed, STREAM_DURATION, index),
-        w_generations=config.w_generations,
+        w_generations=config.w_generations, leaves_only=not config.keep_trees,
     )
     tree.meta.update(mu=dist.mu, hurst=dist.hurst, family=dist.family)
     return tree
@@ -199,12 +199,17 @@ def rescale_path(path, n):
     )
 
 
+def write_xy_csv(csv_file, header, xs, ys):
+    """Stream a header line, then one `x,y` row of float reprs (-10 as -10.0)."""
+    with open(csv_file, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(f"{x!r},{y!r}\n" for x, y in zip(
+            np.asarray(xs, dtype=np.float64).tolist(), np.asarray(ys, dtype=np.float64).tolist()))
+
+
 def write_path_csv(path, csv_file, sidecar_file=None):
     """Export `time,value` rows; optionally a JSON sidecar with the metadata."""
-    with open(csv_file, "w") as fh:
-        fh.write("time,value\n")
-        for t, v in zip(path.times, path.values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+    write_xy_csv(csv_file, "time,value", path.times, path.values)
     if sidecar_file is not None:
         side = {
             "resolution_level": path.resolution_level,

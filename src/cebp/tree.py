@@ -36,7 +36,6 @@ DOWN = -1
 
 DEFAULT_NODE_BUDGET = 10 ** 7
 
-ORIENT_CHARS = {UP: "+", DOWN: "-"}
 CHAR_ORIENTS = {"+": UP, "-": DOWN}
 
 
@@ -125,14 +124,15 @@ def expand_tree(dist, root_orientation, depth, rng, node_budget=DEFAULT_NODE_BUD
     )
 
 
-def assign_durations(tree, dist, mode, rng, w_generations=12):
+def assign_durations(tree, dist, mode, rng, w_generations=12, leaves_only=False):
     """Attach durations and start times; returns the same tree, updated.
 
     Leaf durations are mu**(leaf level) in mean mode, or that times an
     independent approximate-W draw in sampled mode (one aggregated chain per
     leaf, vectorized over the leaf array).  Internal durations are children
     sums; start times are prefix sums over the leaf order with the root
-    starting at 0.
+    starting at 0.  ``leaves_only`` sets the leaf durations alone and leaves
+    every other entry None: all that ``build_path`` reads.
     """
     if mode not in ("mean", "sampled"):
         raise ConfigError("INVALID_CONFIG", f"duration mode must be 'mean' or 'sampled', got {mode!r}")
@@ -151,15 +151,16 @@ def assign_durations(tree, dist, mode, rng, w_generations=12):
     durations = [None] * (m + 1)
     starts = [None] * (m + 1)
     durations[m] = leaf_dur
-    leaf_cum = np.concatenate([[0.0], np.cumsum(leaf_dur)])
-    starts[m] = leaf_cum[:-1]
-    # bottom-up: left-most leaf index and duration sums per node
-    leaf_left = np.arange(n_leaves)
-    for g in range(m - 1, -1, -1):
-        off = tree.child_offsets(g)
-        durations[g] = np.add.reduceat(durations[g + 1], off[:-1])
-        leaf_left = leaf_left[off[:-1]]
-        starts[g] = leaf_cum[leaf_left]
+    if not leaves_only:
+        leaf_cum = np.concatenate([[0.0], np.cumsum(leaf_dur)])
+        starts[m] = leaf_cum[:-1]
+        # bottom-up: left-most leaf index and duration sums per node
+        leaf_left = np.arange(n_leaves)
+        for g in range(m - 1, -1, -1):
+            off = tree.child_offsets(g)
+            durations[g] = np.add.reduceat(durations[g + 1], off[:-1])
+            leaf_left = leaf_left[off[:-1]]
+            starts[g] = leaf_cum[leaf_left]
     tree.durations = durations
     tree.start_times = starts
     tree.duration_mode = mode

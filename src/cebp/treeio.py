@@ -4,57 +4,48 @@ Records carry (id, parent_id, level, position, orientation, z) plus duration
 and start_time when assigned.  Node ids run generation-major (root first, then
 generation 1 left to right, and so on), which makes the files diffable and
 lets the reader rebuild the arena without a link-resolution pass.  Floats go
-through Python's shortest round-trip repr, so write/read is exact.
+through Python's shortest round-trip repr, so write/read is exact.  Lines
+keep the ``json.dumps`` layout (keys in the order above, then ``tree`` in
+multi-tree files), formatted a generation's columns at a time; the sha256
+pins in ``tests/test_artifact_oracle.py`` hold those bytes fixed.
 """
 
-import io
+import itertools
 import json
 
 import numpy as np
 
 from .errors import ConfigError
-from .tree import CHAR_ORIENTS, ORIENT_CHARS, CrossingTree
+from .tree import CHAR_ORIENTS, CrossingTree
 
 __all__ = [
-    "serialize_tree",
     "write_trees",
     "read_trees",
 ]
 
 
-def _records(tree, tree_index=None):
-    gen_start = np.concatenate([[0], np.cumsum(tree.generation_sizes)])
+def _tree_lines(tree, tree_index=None):
+    """The tree's NDJSON lines, formatted a generation's columns at a time."""
+    tail = "" if tree_index is None else f', "tree": {tree_index}'
+    first_id = 0
     for g in range(tree.depth + 1):
-        orient = tree.orientations[g]
-        parent_of = None
+        n = tree.orientations[g].size
+        level = tree.root_level - g
+        parents = ["null"] * n
         if g > 0:
-            off = tree.child_offsets(g - 1)
-            parent_of = np.searchsorted(off, np.arange(orient.size), side="right") - 1
-        z = tree.z[g] if g < tree.depth else np.zeros(orient.size, dtype=np.int64)
-        for i in range(orient.size):
-            rec = {
-                "id": int(gen_start[g] + i),
-                "parent_id": None if g == 0 else int(gen_start[g - 1] + parent_of[i]),
-                "level": tree.root_level - g,
-                "position": i,
-                "orientation": ORIENT_CHARS[int(orient[i])],
-                "z": int(z[i]),
-            }
-            if tree.has_durations:
-                rec["duration"] = float(tree.durations[g][i])
-                rec["start_time"] = float(tree.start_times[g][i])
-            if tree_index is not None:
-                rec["tree"] = tree_index
-            yield rec
-
-
-def serialize_tree(tree, tree_index=None):
-    """Render a tree as NDJSON text."""
-    out = io.StringIO()
-    for rec in _records(tree, tree_index):
-        out.write(json.dumps(rec))
-        out.write("\n")
-    return out.getvalue()
+            parents = np.repeat(np.arange(first_id - tree.z[g - 1].size, first_id),
+                                tree.z[g - 1]).tolist()
+        zs = tree.z[g].tolist() if g < tree.depth else itertools.repeat(0, n)
+        timing = itertools.repeat("", n)
+        if tree.has_durations:
+            timing = (f', "duration": {d!r}, "start_time": {s!r}'
+                      for d, s in zip(tree.durations[g].tolist(), tree.start_times[g].tolist()))
+        yield from (f'{{"id": {i}, "parent_id": {p}, "level": {level}, "position": {j}, '
+                    f'"orientation": "{o}", "z": {z}{t}{tail}}}\n'
+                    for i, p, j, o, z, t in zip(
+                        range(first_id, first_id + n), parents, range(n),
+                        np.where(tree.orientations[g] > 0, "+", "-").tolist(), zs, timing))
+        first_id += n
 
 
 def _malformed(line_no, why):
@@ -105,11 +96,8 @@ def _build_tree(rows):
 def write_trees(trees, path):
     """Write one or more trees to an NDJSON file (a `tree` field separates them)."""
     with open(path, "w") as fh:
-        if len(trees) == 1:
-            fh.write(serialize_tree(trees[0]))
-        else:
-            for idx, tree in enumerate(trees):
-                fh.write(serialize_tree(tree, tree_index=idx))
+        for idx, tree in enumerate(trees):
+            fh.writelines(_tree_lines(tree, idx if len(trees) > 1 else None))
 
 
 def read_trees(path):

@@ -137,11 +137,11 @@ def verify_increments(family=None, t=0.045, n_records=100_000, depth=7,
 # ---------------------------------------------------------------------------
 # remaining time
 
-def _remaining_chunk(spec, depth, level, queries, seed, lo, hi):
+def _remaining_chunk(dist, depth, level, queries, seed, lo, hi):
     out = []
     for i in range(lo, hi):
         cfg = SimulationConfig(
-            offspring=spec, depth=depth, duration_mode="sampled",
+            offspring=dist, depth=depth, duration_mode="sampled",
             seed=(seed, STREAM_PATH, i), keep_trees=False,
         )
         path = simulate(cfg)
@@ -157,7 +157,8 @@ def verify_remaining_time(family=None, depth=9, level=-6, n_paths=10,
     """Pooled remaining-time chord over sampled-duration paths; target -1."""
     spec = GEOM_HALF if family is None else family
     parts = map_blocks(_remaining_chunk, n_paths,
-                       (spec, depth, level, queries_per_path, seed), workers)
+                       (make_offspring(**spec), depth, level, queries_per_path, seed),
+                       workers)
     batches = [rec for part in parts for rec in part]
     fit = remaining_time_tail(batches)
     ok = abs(fit.slope - fit.target_exponent) <= tol
@@ -185,14 +186,14 @@ MODULUS_SPECS = (
 )
 
 
-def _modulus_chunk(family, depth, w_generations, l_lo, l_hi, seed, fam_index,
+def _modulus_chunk(dist, depth, w_generations, l_lo, l_hi, seed, fam_index,
                    s_lo, s_hi):
     rows = np.empty((s_hi - s_lo, l_hi - l_lo + 1))
     for i in range(s_lo, s_hi):
         # sampled populations fluctuate a few-fold around mu**depth, and
         # tiling may stack several roots, so leave generous node headroom
         cfg = SimulationConfig(
-            offspring=family, depth=depth, duration_mode="sampled",
+            offspring=dist, depth=depth, duration_mode="sampled",
             w_generations=w_generations, root_mode="tile", target_horizon=1.0,
             seed=(seed, STREAM_MODULUS, fam_index, i), keep_trees=False,
             node_budget=60_000_000,
@@ -219,19 +220,19 @@ def verify_modulus(specs=MODULUS_SPECS, n_seeds=50, l_range=(4, 12), seed=0,
         raise ConfigError("INVALID_CONFIG", f"need n_seeds >= 1, got {n_seeds}")
     results = []
     for k, spec in enumerate(specs):
+        dist = make_offspring(**spec["family"])
         ratios = np.vstack(map_blocks(
             _modulus_chunk, n_seeds,
-            (spec["family"], spec["depth"], spec["w_generations"], l_lo, l_hi, seed, k),
+            (dist, spec["depth"], spec["w_generations"], l_lo, l_hi, seed, k),
             workers,
         ))
         per_level = ratios.mean(axis=0)
         a, b, _, halves, ok = band_stability(
             range(l_lo, l_hi + 1), per_level, band_tol, max_band_ratio,
         )
-        hurst = make_offspring(**spec["family"]).hurst
         results.append({
             "family": _family_label(spec["family"]),
-            "hurst": hurst,
+            "hurst": dist.hurst,
             "depth": spec["depth"],
             "w_generations": spec["w_generations"],
             "band": (a, b),
@@ -267,7 +268,7 @@ def verify_scale_invariance(family=None, depth=9, levels=(-8, -7),
     # tiling to a fixed horizon keeps the per-level crossing counts above
     # mu**-level regardless of the root duration draw
     cfg = SimulationConfig(
-        offspring=spec, depth=depth, duration_mode="sampled",
+        offspring=dist, depth=depth, duration_mode="sampled",
         root_mode="tile", target_horizon=1.0,
         seed=(seed, STREAM_PATH, 0), keep_trees=False,
     )
@@ -320,7 +321,6 @@ def verify_assumptions(families=None):
             "hurst": dist.hurst,
             "supercritical": gw["supercritical"],
             "z_log_z": gw["z_log_z"],
-            "z_log_z_finite": gw["z_log_z_finite"],
             "dominance_zeta": dom.zeta,
             "dominance_violations": len(dom.violations),
             "zero_shift_violations": len(dom_zero.violations),

@@ -27,6 +27,7 @@ EXTERNAL_CSV = (
 
 PINS = {
     "an.forest.ndjson": "12bf2a12595bd06b5aef9ed93b5b0c5779be261b6f6fb6f9a266cacf157e0cf8",
+    "an.mean_duration.csv": "fa383fcdc1ef230156410f852cb59d40874eef71bc51cb597c128a8dd19c91c2",
     "ing.csv": "b0bae2980597a8bf2459c497b21fbbf04e591f94d8790991972b0497eb3ab5a0",
     "ing.json": "ca800666e1a5debb01d907fa2790afa6b943b2dbc396d1bd1e148b92202baf80",
     "mean.csv": "2e02cb221b83629fa780a2c7ff8e1aaace514d6086dda007339f6b35134501a2",
@@ -48,7 +49,8 @@ def artifacts(tmp_path_factory):
             (*SIMULATE, "--seed", "3", "--out", "mean"),
             (*SIMULATE, "--mode", "sampled", "--root-mode", "tile", "--horizon", "2",
              "--seed", "4", "--out", "tile"),
-            ("analyze", "--path", "mean.csv", "--levels", "-5:0", "--out", "an"),
+            ("analyze", "--path", "mean.csv", "--levels", "-5:0", "--emit-plots",
+             "--out", "an"),
             ("ingest", "--path", "ext.csv", "--value-col", "1", "--anchor", "--out", "ing"),
         ]
         for argv in runs:

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 
 from cebp.cli import main
+from cebp.extract import extract_crossing_forest
 from cebp.paths import read_path_csv
 
 
@@ -92,6 +93,30 @@ def test_analyze_emit_plots_writes_two_column_csv(tmp_path, monkeypatch):
     assert lines[0] == "level,mean_duration"
     assert all(len(line.split(",")) == 2 for line in lines[1:])
     assert len(lines) >= 3
+
+
+def test_analyze_forest_matches_json_reference(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_cli("simulate", "--family", "geometric-pairs", "--p", "0.5", "--depth", "7",
+            "--mode", "sampled", "--root-mode", "tile", "--horizon", "2",
+            "--seed", "5", "--no-trees", "--out", "run")
+    assert run_cli("analyze", "--path", "run.csv", "--levels", "-7:0", "--out", "an") == 0
+    forest = extract_crossing_forest(read_path_csv("run.csv", "run.json"), (-7, 0))
+    expected = [
+        json.dumps({
+            "level": level,
+            "position": i,
+            "start_time": float(rec.start_times[i]),
+            "end_time": float(rec.end_times[i]),
+            "orientation": "+" if rec.orientations[i] > 0 else "-",
+            "subcrossing_count": int(rec.subcrossing_counts[i]),
+        }, sort_keys=True) + "\n"
+        for level, rec in sorted(forest.levels.items())
+        for i in range(rec.n)
+    ]
+    assert any("e-05, " in line for line in expected)
+    with open(tmp_path / "an.forest.ndjson") as fh:
+        assert fh.readlines() == expected
 
 
 def test_verify_unknown_suite_is_usage_error(tmp_path, monkeypatch):

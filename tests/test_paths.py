@@ -77,6 +77,19 @@ def test_simulate_family_spec_dict():
     assert abs(path.values[-1]) == 1.0
 
 
+@pytest.mark.parametrize("mode, root_mode", [("mean", "single"), ("sampled", "tile")])
+def test_dropping_trees_leaves_the_path_unchanged(mode, root_mode):
+    def run(keep_trees):
+        return simulate(SimulationConfig(
+            offspring={"family": "geometric-pairs", "p": 0.5}, depth=6, duration_mode=mode,
+            root_mode=root_mode, target_horizon=3.0, seed=12, keep_trees=keep_trees))
+
+    kept, dropped = run(True), run(False)
+    assert np.array_equal(kept.times, dropped.times)
+    assert np.array_equal(kept.values, dropped.values)
+    assert "trees" not in dropped.meta
+
+
 def test_tile_mode_fixed_pairs_exact_horizon():
     dist = make_offspring("fixed-pairs", b=2)
     cfg = SimulationConfig(offspring=dist, depth=3, root_mode="tile",

@@ -5,8 +5,9 @@ import pytest
 
 from cebp.errors import ConfigError
 from cebp.offspring import make_offspring
-from cebp.tree import UP, assign_durations, expand_tree, validate_tree
-from cebp.treeio import read_trees, serialize_tree, write_trees
+from cebp.paths import SimulationConfig, simulate
+from cebp.tree import DOWN, UP, assign_durations, expand_tree, validate_tree
+from cebp.treeio import read_trees, write_trees
 
 
 def trees_equal(a, b):
@@ -36,6 +37,12 @@ def round_trip(tree, tmp_path):
     return back
 
 
+def tree_text(tree, tmp_path):
+    path = tmp_path / "text.ndjson"
+    write_trees([tree], path)
+    return path.read_text()
+
+
 def read_text(text, tmp_path):
     path = tmp_path / "tree.ndjson"
     path.write_text(text)
@@ -45,7 +52,7 @@ def read_text(text, tmp_path):
 def test_round_trip_fixed_pairs(tmp_path):
     dist = make_offspring("fixed-pairs", b=2)
     tree = expand_tree(dist, UP, 2, np.random.default_rng(0))
-    text = serialize_tree(tree)
+    text = tree_text(tree, tmp_path)
     assert len(text.strip().splitlines()) == 21
     back = round_trip(tree, tmp_path)
     assert trees_equal(tree, back)
@@ -63,7 +70,7 @@ def test_round_trip_with_durations_exact(tmp_path):
 def test_round_trip_preserves_duration_absence(tmp_path):
     dist = make_offspring("geometric-pairs", p=0.5)
     tree = expand_tree(dist, UP, 3, np.random.default_rng(3))
-    first_line = serialize_tree(tree).splitlines()[0]
+    first_line = tree_text(tree, tmp_path).splitlines()[0]
     assert "duration" not in json.loads(first_line)
     back = round_trip(tree, tmp_path)
     assert not back.has_durations
@@ -77,7 +84,7 @@ def test_empty_stream_rejected(tmp_path):
 
 def test_bad_json_line_reported(tmp_path):
     dist = make_offspring("fixed-pairs", b=2)
-    text = serialize_tree(expand_tree(dist, UP, 1, np.random.default_rng(4)))
+    text = tree_text(expand_tree(dist, UP, 1, np.random.default_rng(4)), tmp_path)
     lines = text.splitlines()
     lines[2] = "{broken"
     with pytest.raises(ConfigError) as err:
@@ -96,7 +103,7 @@ def test_missing_field_reported(tmp_path):
 def test_inconsistent_counts_rejected(tmp_path):
     dist = make_offspring("fixed-pairs", b=2)
     tree = expand_tree(dist, UP, 1, np.random.default_rng(5))
-    lines = serialize_tree(tree).splitlines()
+    lines = tree_text(tree, tmp_path).splitlines()
     del lines[-1]  # drop one child: root's z no longer matches
     with pytest.raises(ConfigError) as err:
         read_text("\n".join(lines), tmp_path)
@@ -125,3 +132,67 @@ def test_single_tree_file_omits_tree_field(tmp_path):
     assert "tree" not in json.loads(path.read_text().splitlines()[0])
     back = read_trees(path)
     assert len(back) == 1 and trees_equal(tree, back[0])
+
+
+def reference_lines(trees):
+    """The NDJSON lines of ``trees``, one ``json.dumps`` call per node."""
+    for index, tree in enumerate(trees):
+        gen_start = np.concatenate([[0], np.cumsum(tree.generation_sizes)])
+        for g in range(tree.depth + 1):
+            orient = tree.orientations[g]
+            if g > 0:
+                off = tree.child_offsets(g - 1)
+                parent_of = np.searchsorted(off, np.arange(orient.size), side="right") - 1
+            for i in range(orient.size):
+                rec = {
+                    "id": int(gen_start[g] + i),
+                    "parent_id": None if g == 0 else int(gen_start[g - 1] + parent_of[i]),
+                    "level": tree.root_level - g,
+                    "position": i,
+                    "orientation": "+" if orient[i] > 0 else "-",
+                    "z": int(tree.z[g][i]) if g < tree.depth else 0,
+                }
+                if tree.has_durations:
+                    rec["duration"] = float(tree.durations[g][i])
+                    rec["start_time"] = float(tree.start_times[g][i])
+                if len(trees) > 1:
+                    rec["tree"] = index
+                yield json.dumps(rec) + "\n"
+
+
+def sampled_tree(depth, root_level=0, seed=8):
+    dist = make_offspring("geometric-pairs", p=0.5)
+    tree = expand_tree(dist, DOWN, depth, np.random.default_rng(seed), root_level=root_level)
+    return assign_durations(tree, dist, "sampled", np.random.default_rng(seed + 1),
+                            w_generations=6)
+
+
+def tile_trees():
+    config = SimulationConfig(offspring={"family": "geometric-pairs", "p": 0.5}, depth=7,
+                              duration_mode="sampled", root_mode="tile",
+                              target_horizon=3.0, seed=5)
+    return simulate(config).meta["trees"]
+
+
+@pytest.mark.parametrize("make_trees", [
+    lambda: [sampled_tree(7)],
+    lambda: [sampled_tree(4, root_level=3)],
+    lambda: [expand_tree(make_offspring("poisson-pairs", lam=1.5), UP, 4,
+                         np.random.default_rng(9), root_level=-2)],
+    tile_trees,
+], ids=["sampled-depth-7", "root-level-3", "no-durations-root-level-minus-2", "tile"])
+def test_writer_matches_json_reference(tmp_path, make_trees):
+    trees = make_trees()
+    path = tmp_path / "trees.ndjson"
+    write_trees(trees, path)
+    with open(path) as fh:
+        written = fh.readlines()
+    assert written == list(reference_lines(trees))
+
+
+def test_reference_cases_cover_exponent_reprs_and_tree_tags():
+    deep = "".join(reference_lines([sampled_tree(7)]))
+    assert "e-05, " in deep
+    trees = tile_trees()
+    assert len(trees) > 1
+    assert '"tree": 1}' in "".join(reference_lines(trees))

@@ -18,7 +18,7 @@ def test_assumptions_suite_stock_families():
     assert by_family["geometric-pairs(p=0.5)"]["hurst"] == pytest.approx(0.5)
     assert by_family["geometric-pairs(p=0.25)"]["hurst"] == pytest.approx(1 / 3)
     assert all(r["supercritical"] for r in report["families"])
-    assert all(r["z_log_z_finite"] for r in report["families"])
+    assert all(r["z_log_z"] > 0 for r in report["families"])
 
 
 def test_assumptions_suite_reports_dominance_shift():
@@ -100,3 +100,25 @@ def test_run_suite_dispatch():
         "scale-invariance", seed=1, depth=8, levels=(-7, -6), min_crossings=2_000
     )
     assert report["suite"] == "scale-invariance"
+
+
+@pytest.mark.parametrize("suite, kwargs", [
+    ("remaining-time", dict(depth=5, level=-3, n_paths=4, queries_per_path=200, tol=10.0)),
+    ("modulus", dict(specs=({"family": GEOM_HALF, "depth": 6, "w_generations": 2},),
+                     n_seeds=3, l_range=(2, 5))),
+    ("scale-invariance", dict(depth=6, levels=(-5, -4), min_crossings=50)),
+], ids=["remaining-time", "modulus", "scale-invariance"])
+def test_suites_build_the_offspring_law_once(monkeypatch, suite, kwargs):
+    import cebp.paths
+    from cebp.offspring import make_offspring
+
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(kw)
+        return make_offspring(*args, **kw)
+
+    for module in (V, cebp.paths):
+        monkeypatch.setattr(module, "make_offspring", counting)
+    V.run_suite(suite, seed=1, **kwargs)
+    assert calls == [GEOM_HALF]
