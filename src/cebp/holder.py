@@ -4,48 +4,22 @@ Estimates local Holder exponents by regressing the log of the windowed
 oscillation sup |X(s) - X(t)|, |s - t| <= eps, against log eps over a dyadic
 range eps = 2**-j.  A histogram of grid-point exponents plus the log-count
 normalization gives a coarse multifractal spectrum; a monofractal path puts
-essentially all mass in one bin.
+essentially all mass in one bin.  The window scan itself is
+``paths.window_deviation``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AnalysisError, ConfigError
+from .paths import window_deviation
 
 __all__ = [
     "HolderEstimate",
     "window_oscillation",
     "holder_histogram",
 ]
-
-
-def _window_extrema(times, values, lo, hi):
-    """Max and min of the interpolated path on each closed window [lo, hi].
-
-    Interior knots are scanned with maximum/minimum.reduceat on interleaved
-    slice bounds; the window endpoints enter through exact interpolation, so
-    knots sitting exactly on a boundary are covered either way.
-    """
-    il = np.searchsorted(times, lo, side="right")
-    ih = np.searchsorted(times, hi, side="left")
-    edges = np.empty(2 * il.size, dtype=np.int64)
-    edges[0::2] = il
-    edges[1::2] = ih
-    has_knots = ih > il
-    if np.any(has_knots):
-        kmax = np.maximum.reduceat(values, np.minimum(edges, values.size - 1))[0::2]
-        kmin = np.minimum.reduceat(values, np.minimum(edges, values.size - 1))[0::2]
-    else:
-        kmax = np.full(il.size, -np.inf)
-        kmin = np.full(il.size, np.inf)
-    kmax = np.where(has_knots, kmax, -np.inf)
-    kmin = np.where(has_knots, kmin, np.inf)
-    v_lo = np.interp(lo, times, values)
-    v_hi = np.interp(hi, times, values)
-    wmax = np.maximum(np.maximum(kmax, v_lo), v_hi)
-    wmin = np.minimum(np.minimum(kmin, v_lo), v_hi)
-    return wmax, wmin
 
 
 def window_oscillation(path, centers, eps):
@@ -60,9 +34,8 @@ def window_oscillation(path, centers, eps):
             "EPS_RANGE_INFEASIBLE",
             f"window half-width {eps} leaves the path domain [{t0}, {t1}]",
         )
-    wmax, wmin = _window_extrema(path.times, path.values, centers - eps, centers + eps)
-    at_center = np.interp(centers, path.times, path.values)
-    return np.maximum(wmax - at_center, at_center - wmin)
+    return window_deviation(path, centers - eps, centers + eps,
+                            np.interp(centers, path.times, path.values))
 
 
 @dataclass
@@ -76,7 +49,6 @@ class HolderEstimate:
     counts: np.ndarray
     coarse_spectrum: np.ndarray    # log count / log(1 / grid step), NaN for empty bins
     grid_step: float
-    meta: dict = field(default_factory=dict)
 
     @property
     def valid(self):
@@ -153,10 +125,4 @@ def holder_histogram(path, n_grid, eps_levels, bins=20, bin_range=None):
         counts=counts,
         coarse_spectrum=spectrum,
         grid_step=grid_step,
-        meta={
-            "hurst": path.hurst,
-            "mu": path.mu,
-            "origin": path.origin,
-            "n_invalid": int(n_grid - valid.size),
-        },
     )

@@ -17,15 +17,14 @@ Two ensemble experiments:
   current level-n subcrossing within its enclosing level-(n+1) crossing.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .extract import extract_passage_times
-from .holder import _window_extrema
 from .offspring import OffspringDistribution, make_offspring
-from .paths import SimulationConfig, simulate
+from .paths import SimulationConfig, simulate, window_deviation
 from .rng import STREAM_GAP, STREAM_INCREMENT, STREAM_QUERY, map_blocks, substream
 from .tailfit import TailFit, fit_log_minus_log, quantile_grid
 
@@ -61,7 +60,6 @@ class IncrementRecords:
     hurst: float
     plain: np.ndarray
     sup: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_records(self):
@@ -81,12 +79,8 @@ def _increment_chunk(dist, depth, horizon, t, master_seed, lo, hi):
         rng = substream((master_seed, STREAM_INCREMENT, i), STREAM_QUERY)
         s = rng.uniform(path.times[0], path.times[0] + 0.9 * path.span - t)
         v_s = np.interp(s, path.times, path.values)
-        v_end = np.interp(s + t, path.times, path.values)
-        wmax, wmin = _window_extrema(
-            path.times, path.values, np.array([s]), np.array([s + t])
-        )
-        plain[i - lo] = abs(v_end - v_s)
-        sup[i - lo] = max(wmax[0] - v_s, v_s - wmin[0])
+        plain[i - lo] = abs(np.interp(s + t, path.times, path.values) - v_s)
+        sup[i - lo] = window_deviation(path, np.array([s]), np.array([s + t]), v_s)[0]
     return plain, sup
 
 
@@ -97,11 +91,8 @@ def increment_records(dist, t, n_records, master_seed,
     One path and one anchor per record; record i depends only on
     (master_seed, i), so results are bit-identical for any worker count.
     """
-    if isinstance(dist, OffspringDistribution):
-        dist_spec = {"family": dist.family, **dist.params}
-    else:
-        dist_spec = dict(dist)
-        dist = make_offspring(**dist_spec)
+    if not isinstance(dist, OffspringDistribution):
+        dist = make_offspring(**dist)
     if not 0 < t < 0.9 * horizon:
         raise ConfigError(
             "INVALID_CONFIG", f"need 0 < t < 0.9 * horizon, got t={t}"
@@ -112,33 +103,16 @@ def increment_records(dist, t, n_records, master_seed,
                        (dist, depth, horizon, t, master_seed), workers)
     plain = np.concatenate([p for p, _ in parts])
     sup = np.concatenate([s for _, s in parts])
-    return IncrementRecords(
-        t=float(t), hurst=float(dist.hurst), plain=plain, sup=sup,
-        meta={"family": dist_spec, "depth": depth, "horizon": horizon,
-              "seed": master_seed, "n_records": int(n_records)},
-    )
+    return IncrementRecords(t=float(t), hurst=float(dist.hurst), plain=plain, sup=sup)
 
 
 @dataclass
 class IncrementTailFit(TailFit):
     """Sup-increment tail fit plus the plain-increment sandwich curve."""
 
-    t: float = 0.0
-    hurst: float = 0.5
     n_records: int = 0
-    x_thresholds: np.ndarray = None
     plain_p_hat: np.ndarray = None
     sandwich_violations: int = 0
-
-    def summary(self):
-        out = super().summary()
-        out.update({
-            "t": self.t,
-            "hurst": self.hurst,
-            "n_records": self.n_records,
-            "sandwich_violations": self.sandwich_violations,
-        })
-        return out
 
 
 def increment_tail(records, window=INCREMENT_WINDOW, n_points=INCREMENT_POINTS):
@@ -160,8 +134,7 @@ def increment_tail(records, window=INCREMENT_WINDOW, n_points=INCREMENT_POINTS):
     keep = (p_sup > 0.0) & (p_sup < 1.0)
     return fit_log_minus_log(
         u, p_sup, 1.0, cls=IncrementTailFit,
-        t=records.t, hurst=h, n_records=records.n_records,
-        x_thresholds=x[keep], plain_p_hat=p_plain[keep],
+        n_records=records.n_records, plain_p_hat=p_plain[keep],
         sandwich_violations=violations,
     )
 
@@ -177,7 +150,6 @@ class RemainingTimeRecords:
     next_time: np.ndarray
     y: np.ndarray           # subcrossing index within the enclosing crossing
     n_dropped: int
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_records(self):
@@ -212,8 +184,6 @@ def remaining_time_records(path, level, n_queries, master_seed, query_index=0):
     return RemainingTimeRecords(
         level=int(level), mu=path.mu, s=s, gap=gap, next_time=tau[nxt], y=y,
         n_dropped=int(n_queries - s.size),
-        meta={"origin": path.origin, "seed": master_seed,
-              "query_index": query_index},
     )
 
 
@@ -225,16 +195,6 @@ class RemainingTimeFit(TailFit):
     levels: tuple = ()
     n_records: int = 0
     interior_fraction: float = 0.0   # share of records with y >= 1
-
-    def summary(self):
-        out = super().summary()
-        out.update({
-            "mu": self.mu,
-            "levels": list(self.levels),
-            "n_records": self.n_records,
-            "interior_fraction": self.interior_fraction,
-        })
-        return out
 
 
 def remaining_time_tail(records, mu=None, window=REMAINING_WINDOW,

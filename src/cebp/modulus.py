@@ -14,12 +14,12 @@ S(delta) sits between the true modulus and three times it, which the
 brute-force evaluator makes testable path by path.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AnalysisError, ConfigError
-from .holder import _window_extrema
+from .paths import window_deviation
 
 __all__ = [
     "OscillationTable",
@@ -42,12 +42,8 @@ class OscillationTable:
     """Per-block sup oscillations of one path at one block width."""
 
     delta: float
-    block_starts: np.ndarray      # left edges, length K
     boundary_values: np.ndarray   # X at block edges, length K + 1
     phi: np.ndarray               # sup |X - X(left edge)| per block
-    @property
-    def increments(self):
-        return np.diff(self.boundary_values)
 
     @property
     def n_blocks(self):
@@ -58,7 +54,7 @@ class OscillationTable:
         """max over blocks of the two-block chaining bound."""
         best = 2.0 * self.phi.max()
         if self.phi.size > 1:
-            cross = self.phi[:-1] + np.abs(self.increments[:-1]) + self.phi[1:]
+            cross = self.phi[:-1] + np.abs(np.diff(self.boundary_values)[:-1]) + self.phi[1:]
             best = max(best, float(cross.max()))
         return float(best)
 
@@ -75,11 +71,9 @@ def oscillation_table(path, delta):
         )
     edges = t0 + delta * np.arange(n_blocks + 1)
     boundary = np.interp(edges, path.times, path.values)
-    wmax, wmin = _window_extrema(path.times, path.values, edges[:-1], edges[1:])
-    phi = np.maximum(wmax - boundary[:-1], boundary[:-1] - wmin)
     return OscillationTable(
-        delta=float(delta), block_starts=edges[:-1],
-        boundary_values=boundary, phi=phi,
+        delta=float(delta), boundary_values=boundary,
+        phi=window_deviation(path, edges[:-1], edges[1:], boundary[:-1]),
     )
 
 
@@ -93,8 +87,7 @@ def brute_force_modulus(path, delta):
     t = path.times
     lo = np.clip(t - delta, t[0], t[-1])
     hi = np.clip(t + delta, t[0], t[-1])
-    wmax, wmin = _window_extrema(t, path.values, lo, hi)
-    return float(np.maximum(wmax - path.values, path.values - wmin).max())
+    return float(window_deviation(path, lo, hi, path.values).max())
 
 
 @dataclass
@@ -102,25 +95,11 @@ class ModulusReport:
     """Scaling ratios of the chained modulus against the Levy gauge."""
 
     hurst: float
-    l_values: list
-    deltas: np.ndarray
-    sups: np.ndarray
     ratios: np.ndarray
     ratio_min: float
     ratio_max: float
     stable: bool
     halves: dict
-    meta: dict = field(default_factory=dict)
-
-    def summary(self):
-        return {
-            "hurst": self.hurst,
-            "l_range": [self.l_values[0], self.l_values[-1]],
-            "ratio_min": self.ratio_min,
-            "ratio_max": self.ratio_max,
-            "band_ratio": self.ratio_max / self.ratio_min,
-            "stable": self.stable,
-        }
 
 
 def band_stability(levels, ratios, band_tol=0.25, max_band_ratio=10.0):
@@ -166,9 +145,6 @@ def modulus_ratio(path, l_range, hurst=None, band_tol=0.25, max_band_ratio=10.0)
     r_min, r_max, mid, halves, stable = band_stability(ls, ratios, band_tol, max_band_ratio)
     halves = {"split_level": mid, **halves}
     return ModulusReport(
-        hurst=float(hurst), l_values=ls, deltas=deltas, sups=sups,
-        ratios=ratios, ratio_min=r_min, ratio_max=r_max,
+        hurst=float(hurst), ratios=ratios, ratio_min=r_min, ratio_max=r_max,
         stable=stable, halves=halves,
-        meta={"band_tol": band_tol, "max_band_ratio": max_band_ratio,
-              "origin": path.origin},
     )

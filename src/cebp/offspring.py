@@ -57,17 +57,14 @@ class OffspringDistribution:
         """The truncated pmf as a plain {z: probability} dict."""
         return {int(z): float(p) for z, p in zip(self.support, self.probs)}
 
-    def sample_z(self, rng, size=None):
+    def sample_z(self, rng, size):
         """Draw subcrossing counts from the exact (untruncated) law."""
         if self.family == "geometric-pairs":
             return 2 * rng.geometric(self.params["p"], size=size).astype(np.int64)
         if self.family == "poisson-pairs":
             return 2 + 2 * rng.poisson(self.params["lam"], size=size).astype(np.int64)
         if self.family == "fixed-pairs":
-            b = self.params["b"]
-            if size is None:
-                return np.int64(2 * b)
-            return np.full(size, 2 * b, dtype=np.int64)
+            return np.full(size, 2 * self.params["b"], dtype=np.int64)
         return rng.choice(self.support, size=size, p=self.probs).astype(np.int64)
 
     def population_step(self, rng, counts):

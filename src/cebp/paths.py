@@ -13,6 +13,9 @@ covered.  Tiling is an approximation: the joint law of successive root
 crossings is not pinned down by the construction, so distribution-sensitive
 checks use single mode or treat tiled paths as stationary-increment
 surrogates.
+
+``window_deviation`` is the one window scan, sup |X(r) - a| on [lo, hi],
+behind the Holder, modulus and increment estimates.
 """
 
 import json
@@ -133,51 +136,71 @@ def _one_tree(dist, config, index):
 
 
 def simulate(config):
-    """Simulate a CEBP sample path per the configuration; deterministic in seed."""
+    """Simulate a CEBP sample path per the configuration; deterministic in seed.
+
+    Single mode is the tile loop stopped after root 0.
+    """
     config.validate()
     dist = config.resolve_offspring()
-    trees = []
-    if config.root_mode == "single":
-        trees.append(_one_tree(dist, config, 0))
-        path = build_path(trees[0])
-    else:
-        horizon = 0.0
-        total_nodes = 0
-        n_roots = 0
-        chunks_t, chunks_v = [np.array([0.0])], [np.array([0.0])]
-        level = None
-        while horizon < config.target_horizon:
-            tree = _one_tree(dist, config, n_roots)
-            n_roots += 1
-            total_nodes += tree.n_nodes
-            if total_nodes > config.node_budget:
-                raise BudgetError(
-                    "NODE_BUDGET_EXCEEDED",
-                    f"tiling past horizon {config.target_horizon:g} needs more than "
-                    f"{config.node_budget:g} nodes",
-                )
-            if config.keep_trees:
-                trees.append(tree)
-            piece = build_path(tree)
-            level = piece.resolution_level
-            chunks_t.append(piece.times[1:] + horizon)
-            chunks_v.append(piece.values[1:] + chunks_v[-1][-1])
-            horizon += piece.span
-        path = SamplePath(
-            times=np.concatenate(chunks_t),
-            values=np.concatenate(chunks_v),
-            resolution_level=level,
-            hurst=dist.hurst,
-            mu=dist.mu,
-            origin="simulated",
-            meta={"depth": config.depth, "duration_mode": config.duration_mode,
-                  "n_roots": n_roots},
-        )
+    tile = config.root_mode == "tile"
+    trees, horizon, total_nodes, n_roots = [], 0.0, 0, 0
+    chunks_t, chunks_v = [np.array([0.0])], [np.array([0.0])]
+    while n_roots == 0 or (tile and horizon < config.target_horizon):
+        tree = _one_tree(dist, config, n_roots)
+        n_roots += 1
+        total_nodes += tree.n_nodes
+        if total_nodes > config.node_budget:
+            raise BudgetError(
+                "NODE_BUDGET_EXCEEDED",
+                f"tiling past horizon {config.target_horizon:g} needs more than "
+                f"{config.node_budget:g} nodes",
+            )
+        if config.keep_trees:
+            trees.append(tree)
+        piece = build_path(tree)
+        chunks_t.append(piece.times[1:] + horizon)
+        chunks_v.append(piece.values[1:] + chunks_v[-1][-1])
+        horizon += piece.span
+    path = SamplePath(
+        times=np.concatenate(chunks_t),
+        values=np.concatenate(chunks_v),
+        resolution_level=piece.resolution_level,
+        hurst=dist.hurst,
+        mu=dist.mu,
+        origin="simulated",
+        meta={"depth": config.depth, "duration_mode": config.duration_mode},
+    )
+    if tile:
+        path.meta["n_roots"] = n_roots
     path.meta.update(seed=config.seed, family=dist.family, params=dist.params,
                      root_mode=config.root_mode)
     if config.keep_trees:
         path.meta["trees"] = trees
     return path
+
+
+def window_deviation(path, lo, hi, anchor):
+    """sup |X(r) - anchor| for r on each closed window [lo, hi].
+
+    Interior knots are scanned with maximum/minimum.reduceat on interleaved
+    slice bounds; the window endpoints enter through exact interpolation, so
+    knots sitting exactly on a boundary are covered either way.
+    """
+    times, values = path.times, path.values
+    il = np.searchsorted(times, lo, side="right")
+    ih = np.searchsorted(times, hi, side="left")
+    edges = np.empty(2 * il.size, dtype=np.int64)
+    edges[0::2] = il
+    edges[1::2] = ih
+    np.minimum(edges, values.size - 1, out=edges)
+    has_knots = ih > il
+    kmax = np.where(has_knots, np.maximum.reduceat(values, edges)[0::2], -np.inf)
+    kmin = np.where(has_knots, np.minimum.reduceat(values, edges)[0::2], np.inf)
+    v_lo = np.interp(lo, times, values)
+    v_hi = np.interp(hi, times, values)
+    wmax = np.maximum(np.maximum(kmax, v_lo), v_hi)
+    wmin = np.minimum(np.minimum(kmin, v_lo), v_hi)
+    return np.maximum(wmax - anchor, anchor - wmin)
 
 
 def rescale_path(path, n):
@@ -226,27 +249,30 @@ def write_path_csv(path, csv_file, sidecar_file=None):
 def _read_columns(csv_file, time_col=0, value_col=1):
     """Validated time and value columns of a CSV file.
 
-    Blank lines and an unparsable first line (a header) are skipped.  Any
-    other unparsable row, a non-finite number or fewer than 2 rows raise
-    PARSE_ERROR; time that does not strictly increase raises
-    NON_MONOTONE_TIME.  Row errors name their line.
+    Blank lines and an unparsable first line (a header) are skipped.  Text
+    that is not UTF-8, any other unparsable row, a non-finite number or
+    fewer than 2 rows raise PARSE_ERROR; time that does not strictly
+    increase raises NON_MONOTONE_TIME.  Row errors name their line.
     """
     times, values, skipped = [], [], []
-    with open(csv_file) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split(",")
-            try:
-                t = float(parts[time_col])
-                v = float(parts[value_col])
-            except (ValueError, IndexError) as exc:
-                if line_no > 1 and line.strip():
-                    raise ConfigError(
-                        "PARSE_ERROR", f"line {line_no}: cannot parse {line.strip()!r}"
-                    ) from exc
-                skipped.append(line_no)
-                continue
-            times.append(t)
-            values.append(v)
+    with open(csv_file, encoding="utf-8") as fh:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                parts = line.split(",")
+                try:
+                    t = float(parts[time_col])
+                    v = float(parts[value_col])
+                except (ValueError, IndexError) as exc:
+                    if line_no > 1 and line.strip():
+                        raise ConfigError(
+                            "PARSE_ERROR", f"line {line_no}: cannot parse {line.strip()!r}"
+                        ) from exc
+                    skipped.append(line_no)
+                    continue
+                times.append(t)
+                values.append(v)
+        except UnicodeDecodeError as exc:
+            raise ConfigError("PARSE_ERROR", f"{csv_file}: not UTF-8 text ({exc.reason})") from exc
     times = np.asarray(times)
     values = np.asarray(values)
     if times.size < 2:
@@ -274,8 +300,13 @@ def read_path_csv(csv_file, sidecar_file=None):
     times, values = _read_columns(csv_file)
     side = {}
     if sidecar_file is not None:
-        with open(sidecar_file) as fh:
-            side = json.load(fh)
+        try:
+            with open(sidecar_file, encoding="utf-8") as fh:
+                side = json.load(fh)
+        except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
+            raise ConfigError("PARSE_ERROR", f"sidecar {sidecar_file}: {exc}") from exc
+        if not isinstance(side, dict):
+            raise ConfigError("PARSE_ERROR", f"sidecar {sidecar_file} must hold a JSON object")
     return SamplePath(
         times=times,
         values=values,
@@ -296,9 +327,12 @@ def ingest_csv(csv_file, time_col=0, value_col=1, anchor_origin=False):
     anchors lattices at the starting value either way).
     """
     times, values = _read_columns(csv_file, time_col, value_col)
-    if anchor_origin:
-        values = values - values[0]
-    moves = np.abs(np.diff(values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if anchor_origin:
+            values = values - values[0]
+        moves = np.abs(np.diff(values))
+    if not np.isfinite(moves).all():
+        raise ConfigError("PARSE_ERROR", "value steps overflow 64-bit floats")
     moves = moves[moves > 0]
     if moves.size == 0:
         raise ConfigError("PARSE_ERROR", "path has no spatial variation")

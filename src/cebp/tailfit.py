@@ -7,7 +7,7 @@ points where the empirical probability is 0 or 1 carry no information and are
 excluded before fitting.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +21,12 @@ class TailFit:
     """A fitted tail exponent with its regression inputs.
 
     ``abscissa`` holds the regression abscissa (already transformed, e.g.
-    lambda**(1/H)/t for increment fits), ``p_hat`` the empirical
-    probabilities, and ``log_minus_log_prob`` the ordinates actually used.
+    lambda**(1/H)/t for increment fits) and ``p_hat`` the empirical
+    probabilities, both restricted to the points actually fitted.
     """
 
     abscissa: np.ndarray
     p_hat: np.ndarray
-    log_minus_log_prob: np.ndarray
     slope: float
     intercept: float
     r_squared: float
@@ -38,14 +37,6 @@ class TailFit:
         if self.target_exponent == 0:
             return np.inf
         return abs(self.slope - self.target_exponent) / abs(self.target_exponent)
-
-    def summary(self):
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "target_exponent": self.target_exponent,
-        }
 
 
 def fit_log_minus_log(abscissa, p_hat, target_exponent, min_points=4, cls=TailFit, **extra):
@@ -69,7 +60,6 @@ def fit_log_minus_log(abscissa, p_hat, target_exponent, min_points=4, cls=TailFi
     return cls(
         abscissa=abscissa[ok],
         p_hat=p_hat[ok],
-        log_minus_log_prob=y,
         slope=float(slope),
         intercept=float(intercept),
         r_squared=r2,

@@ -3,7 +3,9 @@
 Records carry (id, parent_id, level, position, orientation, z) plus duration
 and start_time when assigned.  Node ids run generation-major (root first, then
 generation 1 left to right, and so on), which makes the files diffable and
-lets the reader rebuild the arena without a link-resolution pass.  Floats go
+lets the reader rebuild the arena without a link-resolution pass; the reader
+checks each tree with ``validate_tree`` and every id and parent_id against
+that layout.  Floats go
 through Python's shortest round-trip repr, so write/read is exact.  Lines
 keep the ``json.dumps`` layout (keys in the order above, then ``tree`` in
 multi-tree files), formatted a generation's columns at a time; the sha256
@@ -16,7 +18,7 @@ import json
 import numpy as np
 
 from .errors import ConfigError
-from .tree import CHAR_ORIENTS, CrossingTree
+from .tree import CHAR_ORIENTS, CrossingTree, validate_tree
 
 __all__ = [
     "write_trees",
@@ -53,12 +55,12 @@ def _malformed(line_no, why):
 
 
 def _build_tree(rows):
-    root_level = rows[0][0]["level"]
+    root_level = max(rec["level"] for rec, _ in rows)
     by_level = {}
     for rec, line_no in rows:
         by_level.setdefault(root_level - rec["level"], []).append((rec, line_no))
     depth = max(by_level)
-    orientations, zs, durs, starts = [], [], [], []
+    ordered, orientations, zs, durs, starts = [], [], [], [], []
     with_durations = "duration" in rows[0][0]
     for g in range(depth + 1):
         if g not in by_level:
@@ -69,6 +71,7 @@ def _build_tree(rows):
                 raise _malformed(line_no, f"positions at level {rec['level']} are not 0..{len(recs) - 1}")
             if ("duration" in rec) != with_durations:
                 raise _malformed(line_no, "inconsistent duration fields across records")
+        ordered += recs
         orientations.append(np.array(
             [CHAR_ORIENTS[rec["orientation"]] for rec, _ in recs], dtype=np.int8
         ))
@@ -79,18 +82,25 @@ def _build_tree(rows):
             starts.append(np.array([rec["start_time"] for rec, _ in recs], dtype=np.float64))
     if len(zs) == depth + 1:        # leaves carried nonzero z
         raise _malformed(rows[-1][1], "leaf records must have z = 0")
-    for g in range(depth):
-        if int(zs[g].sum()) != orientations[g + 1].size:
-            raise _malformed(
-                rows[-1][1],
-                f"children counts at level {root_level - g} sum to {int(zs[g].sum())}, "
-                f"but level {root_level - g - 1} holds {orientations[g + 1].size} nodes",
-            )
-    return CrossingTree(
+    tree = CrossingTree(
         root_level=root_level, depth=depth, orientations=orientations, z=zs,
         durations=durs if with_durations else None,
         start_times=starts if with_durations else None,
     )
+    why = validate_tree(tree)
+    if why is not None:
+        raise _malformed(rows[-1][1], why)
+    # the arena is valid, so its children counts give every node's parent id
+    ids, parents = (np.fromiter((rec.get(key) for rec, _ in ordered), dtype=object,
+                                count=len(ordered)) for key in ("id", "parent_id"))
+    want_parents = np.concatenate([[None], np.repeat(
+        np.arange(ids.size), np.concatenate([*zs, np.zeros(orientations[-1].size, np.int64)]))])
+    bad = np.flatnonzero((ids != np.arange(ids.size)) | (parents != want_parents))
+    if bad.size:
+        k = int(bad[0])
+        raise _malformed(ordered[k][1], f"id {ids[k]!r} with parent_id {parents[k]!r} breaks "
+                         f"the generation-major layout (want id {k}, parent_id {want_parents[k]!r})")
+    return tree
 
 
 def write_trees(trees, path):

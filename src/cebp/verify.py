@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .branching import WEnsemble, sample_w_range
+from .branching import WEnsemble, check_depth, sample_w_range
 from .errors import ConfigError
 from .extract import duration_scale_invariance, extract_crossing_forest
 from .increments import (
@@ -76,6 +76,7 @@ def verify_w_tail(families=None, generations=12, n_samples=1_000_000,
     results = []
     for spec in families:
         dist = make_offspring(**spec)
+        check_depth(dist, generations)
         samples = np.concatenate(map_blocks(
             partial(sample_w_range, master_seed=seed), n_samples,
             (dist, generations), workers,

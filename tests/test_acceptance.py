@@ -13,6 +13,7 @@ dominance scan, determinism) are materialized directly here.
 import time
 
 import numpy as np
+import pytest
 
 from cebp.cli import main as cli_main
 from cebp.extract import (
@@ -32,6 +33,8 @@ from cebp.verify import (
     verify_scale_invariance,
     verify_w_tail,
 )
+
+pytestmark = pytest.mark.slow
 
 GEOM_HALF = {"family": "geometric-pairs", "p": 0.5}
 GEOM_THIRD = {"family": "geometric-pairs", "p": 0.25}

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from cebp.cli import main
 from cebp.extract import extract_crossing_forest
@@ -327,3 +328,18 @@ def test_verify_all_rejects_bad_flags_before_running_a_suite(tmp_path, monkeypat
     monkeypatch.setattr(cebp.cli, "run_suite", no_run)
     # --depth 9 is below the modulus suite's tree depth of 10
     assert run_cli("verify", "all", "--depth", "9") == 2
+
+
+def test_analyze_and_ingest_reject_non_utf8_csv(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bin.csv").write_bytes(b"\xff\xfe")
+    assert run_cli("analyze", "--path", "bin.csv", "--levels", "-4:0") == 2
+    assert run_cli("ingest", "--path", "bin.csv") == 2
+
+
+@pytest.mark.parametrize("sidecar", ["{bad", "[1,2]"])
+def test_analyze_rejects_unreadable_sidecar(tmp_path, monkeypatch, sidecar):
+    monkeypatch.chdir(tmp_path)
+    write_ramp(tmp_path / "ramp.csv", n=4)
+    (tmp_path / "ramp.json").write_text(sidecar)
+    assert run_cli("analyze", "--path", "ramp.csv", "--levels", "0:1") == 2

@@ -50,7 +50,7 @@ def test_increment_tail_fit_smoke():
     assert fit.slope == pytest.approx(1.0, abs=0.3)
     assert fit.r_squared > 0.98
     assert np.all(fit.plain_p_hat <= fit.p_hat + 1e-15)
-    assert fit.summary()["n_records"] == 1500
+    assert fit.n_records == 1500
 
 
 def test_increment_bad_t_rejected():
@@ -145,6 +145,5 @@ def test_increment_records_build_the_offspring_law_once(monkeypatch):
 
     for module in (cebp.increments, cebp.paths):
         monkeypatch.setattr(module, "make_offspring", counting)
-    rec = increment_records(GEOM, t=0.05, n_records=20, master_seed=3, depth=4)
+    increment_records(GEOM, t=0.05, n_records=20, master_seed=3, depth=4)
     assert len(calls) == 1
-    assert rec.meta["family"] == GEOM

@@ -220,3 +220,36 @@ def test_csv_line_numbers_count_skipped_lines(tmp_path):
         read_path_csv(f)
     assert err.value.code == "NON_MONOTONE_TIME"
     assert "line 6" in str(err.value)
+
+
+def test_csv_that_is_not_utf8_is_a_parse_error(tmp_path):
+    f = tmp_path / "bin.csv"
+    f.write_bytes(b"\xff\xfe")
+    for reader in (read_path_csv, ingest_csv):
+        with pytest.raises(ConfigError) as err:
+            reader(f)
+        assert err.value.code == "PARSE_ERROR"
+        assert "bin.csv" in str(err.value)
+
+
+@pytest.mark.parametrize("sidecar", [b"{bad", b"[1,2]", b"\xff"])
+def test_unreadable_sidecar_is_a_parse_error(tmp_path, sidecar):
+    csv_file, side_file = tmp_path / "p.csv", tmp_path / "p.json"
+    csv_file.write_text("time,value\n0.0,0.0\n1.0,1.0\n")
+    side_file.write_bytes(sidecar)
+    with pytest.raises(ConfigError) as err:
+        read_path_csv(csv_file, side_file)
+    assert err.value.code == "PARSE_ERROR"
+    assert "p.json" in str(err.value)
+
+
+@pytest.mark.parametrize("anchor, rows", [
+    (False, ["0,1e308", "1,-1e308"]),
+    (True, ["0,-1e308", "1,-1e308", "2,1e308"]),
+])
+def test_ingest_rejects_value_steps_that_overflow(tmp_path, anchor, rows):
+    f = tmp_path / "huge.csv"
+    f.write_text("t,x\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ConfigError) as err:
+        ingest_csv(f, anchor_origin=anchor)
+    assert err.value.code == "PARSE_ERROR"

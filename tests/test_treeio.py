@@ -196,3 +196,27 @@ def test_reference_cases_cover_exponent_reprs_and_tree_tags():
     trees = tile_trees()
     assert len(trees) > 1
     assert '"tree": 1}' in "".join(reference_lines(trees))
+
+
+def test_two_roots_rejected(tmp_path):
+    recs = [{"id": i, "parent_id": None, "level": 0, "position": i, "orientation": "+", "z": 2}
+            for i in range(2)]
+    recs += [{"id": 2 + i, "parent_id": 7, "level": -1, "position": i, "orientation": "+", "z": 0}
+             for i in range(4)]
+    with pytest.raises(ConfigError) as err:
+        read_text("".join(json.dumps(rec) + "\n" for rec in recs), tmp_path)
+    assert err.value.code == "MALFORMED_RECORD"
+    assert "exactly one node" in str(err.value)
+
+
+@pytest.mark.parametrize("key, value", [("parent_id", 2), ("parent_id", None), ("id", 9)])
+def test_ids_off_the_generation_major_layout_rejected(tmp_path, key, value):
+    dist = make_offspring("fixed-pairs", b=2)
+    lines = tree_text(expand_tree(dist, UP, 2, np.random.default_rng(4)), tmp_path).splitlines()
+    rec = json.loads(lines[7])
+    rec[key] = value
+    lines[7] = json.dumps(rec)
+    with pytest.raises(ConfigError) as err:
+        read_text("\n".join(lines), tmp_path)
+    assert err.value.code == "MALFORMED_RECORD"
+    assert "line 8" in str(err.value)

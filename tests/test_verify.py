@@ -5,6 +5,7 @@ import json
 import pytest
 
 from cebp import verify as V
+from cebp.errors import BudgetError
 
 GEOM_HALF = {"family": "geometric-pairs", "p": 0.5}
 GEOM_THIRD = {"family": "geometric-pairs", "p": 0.25}
@@ -122,3 +123,9 @@ def test_suites_build_the_offspring_law_once(monkeypatch, suite, kwargs):
         monkeypatch.setattr(module, "make_offspring", counting)
     V.run_suite(suite, seed=1, **kwargs)
     assert calls == [GEOM_HALF]
+
+
+def test_w_tail_refuses_a_depth_whose_counts_overflow():
+    with pytest.raises(BudgetError) as err:
+        V.verify_w_tail(families=[GEOM_HALF], generations=31, n_samples=300)
+    assert err.value.code == "DEPTH_OVERFLOW"
