@@ -24,7 +24,6 @@ __all__ = ["WEnsemble", "sample_W", "sample_w_range"]
 class WEnsemble:
     """W samples (population at generation k over mu^k) with E W = 1."""
 
-    generations: int
     samples: np.ndarray
     source: object  # OffspringDistribution
 
@@ -34,7 +33,7 @@ class WEnsemble:
 MAX_MEAN_POPULATION = 2.0 ** 52
 
 
-def check_depth(dist, generations, node_budget=None):
+def check_depth(dist, generations):
     """Refuse a population chain whose counts could overflow 64-bit integers."""
     expected = dist.mu ** generations
     if expected > MAX_MEAN_POPULATION:
@@ -42,11 +41,6 @@ def check_depth(dist, generations, node_budget=None):
             "DEPTH_OVERFLOW",
             f"expected population mu^k = {expected:.3g} exceeds 2^52, "
             "so 64-bit counts could overflow",
-        )
-    if node_budget is not None and expected > node_budget:
-        raise BudgetError(
-            "DEPTH_OVERFLOW",
-            f"expected population mu^k = {expected:.3g} exceeds node budget {node_budget:g}",
         )
 
 
@@ -63,17 +57,15 @@ def sample_w_range(dist, generations, start, stop, master_seed):
     return out
 
 
-def sample_W(dist, generations, count, seed, node_budget=None):
+def sample_W(dist, generations, count, seed):
     """Draw ``count`` independent approximate-W samples at depth ``generations``.
 
     ``seed`` is the master seed; samples are independent via per-index
-    substreams.  ``node_budget`` optionally guards the notional population
-    size mu^k (the aggregate chain itself uses O(1) memory per sample).
+    substreams.
     """
     if generations < 1:
         raise ConfigError("INVALID_CONFIG", f"generations must be >= 1, got {generations}")
     if count < 1:
         raise ConfigError("INVALID_CONFIG", f"count must be >= 1, got {count}")
-    check_depth(dist, generations, node_budget)
-    samples = sample_w_range(dist, generations, 0, count, seed)
-    return WEnsemble(generations=generations, samples=samples, source=dist)
+    check_depth(dist, generations)
+    return WEnsemble(samples=sample_w_range(dist, generations, 0, count, seed), source=dist)

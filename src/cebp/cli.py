@@ -129,10 +129,9 @@ def cmd_simulate(args):
         node_budget=args.node_budget,
     )
     path.meta.update(_artifact("simulate", resolved))
-    trees = path.meta.pop("trees", None)
     write_path_csv(path, f"{args.out}.csv", f"{args.out}.json")
-    if trees is not None:
-        write_trees(trees, f"{args.out}.trees.ndjson")
+    if path.trees is not None:
+        write_trees(path.trees, f"{args.out}.trees.ndjson")
     print(f"wrote {args.out}.csv ({path.n_knots} knots, span {path.span:.6g})")
     return 0
 

@@ -106,7 +106,6 @@ class CrossingForest:
     """Nested per-level crossing records extracted from one path."""
 
     base_level: int
-    top_level: int
     levels: dict  # level -> LevelCrossings
 
     def __getitem__(self, level):
@@ -151,7 +150,7 @@ def extract_crossing_forest(path, level_range):
             kept = idx[keep]
             z = np.diff(kept)
             times, u = times[kept], uu[keep]
-    return CrossingForest(base_level=lo, top_level=hi, levels=levels)
+    return CrossingForest(base_level=lo, levels=levels)
 
 
 def _parent_counts(forest):
@@ -241,25 +240,21 @@ def duration_scale_invariance(forest, mu=None, min_crossings=100):
     }
 
 
-def subcrossing_pmf(forest, levels=None):
-    """Empirical pmf of subcrossing counts pooled over the given levels."""
-    if levels is None:
-        arrays = [_parent_counts(forest)]
-    else:
-        arrays = [forest.levels[n].subcrossing_counts for n in levels]
-    counts = np.concatenate([a for a in arrays if a.size])
+def subcrossing_pmf(forest):
+    """Empirical pmf of subcrossing counts pooled over all levels above the base."""
+    counts = _parent_counts(forest)
     if counts.size == 0:
         raise AnalysisError("INSUFFICIENT_CROSSINGS", "no parent crossings to tabulate")
     values, freq = np.unique(counts, return_counts=True)
     return {int(v): float(f) / counts.size for v, f in zip(values, freq)}
 
 
-def forest_matches_tree(forest, tree, atol=1e-9):
+def forest_matches_tree(forest, tree):
     """Verify the round trip: extracted records equal the generating tree.
 
     Returns None on success or a string describing the first mismatch.
-    Checks counts, orientations, passage times, and subcrossing counts at
-    every tree level present in the forest.
+    Checks counts, orientations, passage times (to 1e-9), and subcrossing
+    counts at every tree level present in the forest.
     """
     for g in range(tree.depth + 1):
         n = tree.root_level - g
@@ -272,11 +267,11 @@ def forest_matches_tree(forest, tree, atol=1e-9):
         if not np.array_equal(rec.orientations, tree.orientations[g]):
             return f"level {n}: orientation mismatch"
         if tree.has_durations:
-            if np.max(np.abs(rec.start_times - tree.start_times[g])) > atol:
-                return f"level {n}: start times differ beyond {atol}"
+            if np.max(np.abs(rec.start_times - tree.start_times[g])) > 1e-9:
+                return f"level {n}: start times differ beyond 1e-9"
             ends = tree.start_times[g] + tree.durations[g]
-            if np.max(np.abs(rec.end_times - ends)) > atol:
-                return f"level {n}: end times differ beyond {atol}"
+            if np.max(np.abs(rec.end_times - ends)) > 1e-9:
+                return f"level {n}: end times differ beyond 1e-9"
         if g < tree.depth and n - 1 >= forest.base_level:
             if not np.array_equal(rec.subcrossing_counts, tree.z[g]):
                 return f"level {n}: subcrossing count mismatch"

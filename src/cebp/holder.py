@@ -44,37 +44,21 @@ class HolderEstimate:
 
     grid_times: np.ndarray
     exponents: np.ndarray          # NaN where the oscillation vanished
-    eps_levels: list
     bin_edges: np.ndarray
     counts: np.ndarray
     coarse_spectrum: np.ndarray    # log count / log(1 / grid step), NaN for empty bins
-    grid_step: float
 
     @property
     def valid(self):
         return self.exponents[np.isfinite(self.exponents)]
 
-    def summary(self):
-        v = self.valid
-        return {
-            "n_grid": int(self.grid_times.size),
-            "n_valid": int(v.size),
-            "mean": float(v.mean()) if v.size else float("nan"),
-            "std": float(v.std(ddof=1)) if v.size > 1 else float("nan"),
-            "mode_bin": (
-                [float(self.bin_edges[k]) for k in
-                 (int(np.argmax(self.counts)), int(np.argmax(self.counts)) + 1)]
-                if self.counts.size else None
-            ),
-        }
 
-
-def holder_histogram(path, n_grid, eps_levels, bins=20, bin_range=None):
+def holder_histogram(path, n_grid, eps_levels, bins=20):
     """Local exponents on a uniform interior grid, binned into a spectrum.
 
     The grid is placed so every window at the largest eps stays inside the
     path domain; raises EPS_RANGE_INFEASIBLE when the domain is too short
-    for that.
+    for that.  The bins span the finite exponents, padded by 0.05 each side.
     """
     if n_grid < 2:
         raise ConfigError("INVALID_CONFIG", f"need n_grid >= 2, got {n_grid}")
@@ -106,12 +90,10 @@ def holder_histogram(path, n_grid, eps_levels, bins=20, bin_range=None):
         centered = log_osc[:, finite] - log_osc[:, finite].mean(axis=0)
         slopes[finite] = x @ centered / denom
     valid = slopes[np.isfinite(slopes)]
-    if bin_range is None:
-        if valid.size == 0:
-            raise AnalysisError("EPS_RANGE_INFEASIBLE", "no finite exponent estimates")
-        pad = 0.05
-        bin_range = (valid.min() - pad, valid.max() + pad)
-    counts, bin_edges = np.histogram(valid, bins=bins, range=bin_range)
+    if valid.size == 0:
+        raise AnalysisError("EPS_RANGE_INFEASIBLE", "no finite exponent estimates")
+    counts, bin_edges = np.histogram(valid, bins=bins,
+                                     range=(valid.min() - 0.05, valid.max() + 0.05))
     grid_step = float(grid[1] - grid[0])
     with np.errstate(divide="ignore"):
         spectrum = np.where(
@@ -120,9 +102,7 @@ def holder_histogram(path, n_grid, eps_levels, bins=20, bin_range=None):
     return HolderEstimate(
         grid_times=grid,
         exponents=slopes,
-        eps_levels=levels,
         bin_edges=bin_edges,
         counts=counts,
         coarse_spectrum=spectrum,
-        grid_step=grid_step,
     )

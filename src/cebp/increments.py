@@ -18,14 +18,15 @@ Two ensemble experiments:
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError
 from .extract import extract_passage_times
 from .offspring import OffspringDistribution, make_offspring
-from .paths import SimulationConfig, simulate, window_deviation
-from .rng import STREAM_GAP, STREAM_INCREMENT, STREAM_QUERY, map_blocks, substream
+from .paths import SimulationConfig, path_records, window_deviation
+from .rng import STREAM_GAP, STREAM_INCREMENT, STREAM_QUERY, substream
 from .tailfit import TailFit, fit_log_minus_log, quantile_grid
 
 __all__ = [
@@ -66,22 +67,12 @@ class IncrementRecords:
         return int(self.plain.size)
 
 
-def _increment_chunk(dist, depth, horizon, t, master_seed, lo, hi):
-    plain = np.empty(hi - lo)
-    sup = np.empty(hi - lo)
-    for i in range(lo, hi):
-        cfg = SimulationConfig(
-            offspring=dist, depth=depth, duration_mode="mean",
-            root_mode="tile", target_horizon=horizon,
-            seed=(master_seed, STREAM_INCREMENT, i), keep_trees=False,
-        )
-        path = simulate(cfg)
-        rng = substream((master_seed, STREAM_INCREMENT, i), STREAM_QUERY)
-        s = rng.uniform(path.times[0], path.times[0] + 0.9 * path.span - t)
-        v_s = np.interp(s, path.times, path.values)
-        plain[i - lo] = abs(np.interp(s + t, path.times, path.values) - v_s)
-        sup[i - lo] = window_deviation(path, np.array([s]), np.array([s + t]), v_s)[0]
-    return plain, sup
+def _increment_record(t, master_seed, path, i):
+    rng = substream((master_seed, STREAM_INCREMENT, i), STREAM_QUERY)
+    s = rng.uniform(path.times[0], path.times[0] + 0.9 * path.span - t)
+    v_s = np.interp(s, path.times, path.values)
+    plain = abs(np.interp(s + t, path.times, path.values) - v_s)
+    return plain, window_deviation(path, np.array([s]), np.array([s + t]), v_s)[0]
 
 
 def increment_records(dist, t, n_records, master_seed,
@@ -99,10 +90,14 @@ def increment_records(dist, t, n_records, master_seed,
         )
     if n_records < 1:
         raise ConfigError("INVALID_CONFIG", f"need n_records >= 1, got {n_records}")
-    parts = map_blocks(_increment_chunk, n_records,
-                       (dist, depth, horizon, t, master_seed), workers)
-    plain = np.concatenate([p for p, _ in parts])
-    sup = np.concatenate([s for _, s in parts])
+    config = SimulationConfig(
+        offspring=dist, depth=depth, duration_mode="mean", root_mode="tile",
+        target_horizon=horizon, keep_trees=False,
+    )
+    plain, sup = np.array(path_records(
+        config, (master_seed, STREAM_INCREMENT), n_records,
+        partial(_increment_record, t, master_seed), workers,
+    )).T
     return IncrementRecords(t=float(t), hurst=float(dist.hurst), plain=plain, sup=sup)
 
 
@@ -191,38 +186,34 @@ def remaining_time_records(path, level, n_queries, master_seed, query_index=0):
 class RemainingTimeFit(TailFit):
     """Chord fit of log(-log P(scaled gap <= u)) against log u."""
 
-    mu: float = 0.0
     levels: tuple = ()
     n_records: int = 0
     interior_fraction: float = 0.0   # share of records with y >= 1
 
 
-def remaining_time_tail(records, mu=None, window=REMAINING_WINDOW,
-                        n_points=REMAINING_POINTS):
+def remaining_time_tail(records, window=REMAINING_WINDOW, n_points=REMAINING_POINTS):
     """Pooled remaining-time chord fit; target slope -1.
 
     ``records`` is one RemainingTimeRecords or a list (possibly at different
-    levels); each batch is rescaled by mu**-level before pooling.
+    levels); each batch is rescaled by its own mu**-level before pooling.
     """
     batches = records if isinstance(records, (list, tuple)) else [records]
     if not batches:
         raise ConfigError("INVALID_CONFIG", "no remaining-time records")
     scaled, y_all, levels = [], [], []
     for rec in batches:
-        m = mu if mu is not None else rec.mu
-        if m is None:
-            raise ConfigError("INVALID_CONFIG", "no mu on records; pass mu=")
-        scaled.append(rec.gap * float(m) ** (-rec.level))
+        if rec.mu is None:
+            raise ConfigError("INVALID_CONFIG", "remaining-time records carry no mu")
+        scaled.append(rec.gap * float(rec.mu) ** (-rec.level))
         y_all.append(rec.y)
         levels.append(rec.level)
-        mu_used = float(m)
     scaled = np.sort(np.concatenate(scaled))
     y_all = np.concatenate(y_all)
     u = np.exp(np.linspace(np.log(window[0]), np.log(window[1]), n_points))
     p_le = np.searchsorted(scaled, u, side="right") / scaled.size
     return fit_log_minus_log(
         u, p_le, -1.0, cls=RemainingTimeFit,
-        mu=mu_used, levels=tuple(sorted(set(levels))),
+        levels=tuple(sorted(set(levels))),
         n_records=int(scaled.size),
         interior_fraction=float(np.mean(y_all >= 1)),
     )

@@ -41,7 +41,6 @@ def h_modulus(delta, hurst):
 class OscillationTable:
     """Per-block sup oscillations of one path at one block width."""
 
-    delta: float
     boundary_values: np.ndarray   # X at block edges, length K + 1
     phi: np.ndarray               # sup |X - X(left edge)| per block
 
@@ -71,10 +70,8 @@ def oscillation_table(path, delta):
         )
     edges = t0 + delta * np.arange(n_blocks + 1)
     boundary = np.interp(edges, path.times, path.values)
-    return OscillationTable(
-        delta=float(delta), boundary_values=boundary,
-        phi=window_deviation(path, edges[:-1], edges[1:], boundary[:-1]),
-    )
+    return OscillationTable(boundary_values=boundary,
+                            phi=window_deviation(path, edges[:-1], edges[1:], boundary[:-1]))
 
 
 def brute_force_modulus(path, delta):
@@ -123,13 +120,12 @@ def band_stability(levels, ratios, band_tol=0.25, max_band_ratio=10.0):
     return a, b, mid, halves, bool(a > 0 and b <= max_band_ratio * a and close)
 
 
-def modulus_ratio(path, l_range, hurst=None, band_tol=0.25, max_band_ratio=10.0):
+def modulus_ratio(path, l_range, hurst=None):
     """Ratios R(2**-l) for l in [lo, hi] plus a band-stability verdict.
 
-    ``stable`` is the verdict of ``band_stability``: the band is positive,
-    narrower than ``max_band_ratio``, and its endpoints move less than
-    ``band_tol`` (relative) between the lower and upper halves of the level
-    range.
+    ``stable`` is the verdict of ``band_stability`` at its defaults: the band
+    is positive, at most 10 wide, and its endpoints move less than 25 %
+    (relative) between the lower and upper halves of the level range.
     """
     lo, hi = int(l_range[0]), int(l_range[1])
     if lo > hi:
@@ -142,7 +138,7 @@ def modulus_ratio(path, l_range, hurst=None, band_tol=0.25, max_band_ratio=10.0)
     deltas = 2.0 ** -np.array(ls, dtype=float)
     sups = np.array([oscillation_table(path, d).chaining_sup for d in deltas])
     ratios = sups / h_modulus(deltas, hurst)
-    r_min, r_max, mid, halves, stable = band_stability(ls, ratios, band_tol, max_band_ratio)
+    r_min, r_max, mid, halves, stable = band_stability(ls, ratios)
     halves = {"split_level": mid, **halves}
     return ModulusReport(
         hurst=float(hurst), ratios=ratios, ratio_min=r_min, ratio_max=r_max,

@@ -52,11 +52,6 @@ class OffspringDistribution:
     pi: float
     hurst: float
 
-    @property
-    def pmf(self):
-        """The truncated pmf as a plain {z: probability} dict."""
-        return {int(z): float(p) for z, p in zip(self.support, self.probs)}
-
     def sample_z(self, rng, size):
         """Draw subcrossing counts from the exact (untruncated) law."""
         if self.family == "geometric-pairs":
@@ -174,8 +169,6 @@ class MeanMatrix:
     [[mu+/2 + 1, mu+/2 - 1], [mu-/2 - 1, mu-/2 + 1]].
     """
 
-    mu_plus: float
-    mu_minus: float
     entries: np.ndarray = field(repr=False)
     dominant_eigenvalue: float
     second_eigenvalue: float
@@ -202,8 +195,6 @@ def mean_offspring_matrix(mu_plus, mu_minus):
     mu = (mu_plus + mu_minus) / 2.0
     right = np.array([(mu_plus - 2) / (mu - 2), (mu_minus - 2) / (mu - 2)])
     return MeanMatrix(
-        mu_plus=float(mu_plus),
-        mu_minus=float(mu_minus),
         entries=entries,
         dominant_eigenvalue=float(mu),
         second_eigenvalue=2.0,

@@ -15,17 +15,20 @@ checks use single mode or treat tiled paths as stationary-increment
 surrogates.
 
 ``window_deviation`` is the one window scan, sup |X(r) - a| on [lo, hi],
-behind the Holder, modulus and increment estimates.
+behind the Holder, modulus and increment estimates.  ``path_records`` is the
+one per-record loop behind every path ensemble: record i simulates the
+ensemble's config under the stream key (*key, i) and reduces the path to one
+record.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import BudgetError, ConfigError
 from .offspring import OffspringDistribution, make_offspring
-from .rng import STREAM_DURATION, STREAM_ROOT, STREAM_TREE, substream
+from .rng import STREAM_DURATION, STREAM_ROOT, STREAM_TREE, map_blocks, substream
 from .tree import DEFAULT_NODE_BUDGET, DOWN, UP, assign_durations, expand_tree
 
 __all__ = [
@@ -51,6 +54,7 @@ class SamplePath:
     mu: float | None
     origin: str = "simulated"
     meta: dict = field(default_factory=dict)
+    trees: list | None = None          # the generating trees, when kept
 
     @property
     def span(self):
@@ -59,10 +63,6 @@ class SamplePath:
     @property
     def n_knots(self):
         return int(self.times.size)
-
-    def value_at(self, t):
-        """Linear interpolation at scalar or array times."""
-        return np.interp(t, self.times, self.values)
 
 
 @dataclass
@@ -112,10 +112,10 @@ def build_path(tree):
         times=times,
         values=values,
         resolution_level=-m,
-        hurst=tree.meta.get("hurst"),
-        mu=tree.meta.get("mu"),
+        hurst=None,
+        mu=None,
         origin="simulated",
-        meta={"depth": m, "duration_mode": tree.duration_mode},
+        meta={"depth": m},
     )
 
 
@@ -126,13 +126,11 @@ def _one_tree(dist, config, index):
         substream(config.seed, STREAM_TREE, index),
         node_budget=config.node_budget,
     )
-    assign_durations(
+    return assign_durations(
         tree, dist, config.duration_mode,
         substream(config.seed, STREAM_DURATION, index),
         w_generations=config.w_generations, leaves_only=not config.keep_trees,
     )
-    tree.meta.update(mu=dist.mu, hurst=dist.hurst, family=dist.family)
-    return tree
 
 
 def simulate(config):
@@ -169,14 +167,27 @@ def simulate(config):
         mu=dist.mu,
         origin="simulated",
         meta={"depth": config.depth, "duration_mode": config.duration_mode},
+        trees=trees if config.keep_trees else None,
     )
     if tile:
         path.meta["n_roots"] = n_roots
     path.meta.update(seed=config.seed, family=dist.family, params=dist.params,
                      root_mode=config.root_mode)
-    if config.keep_trees:
-        path.meta["trees"] = trees
     return path
+
+
+def _record_block(config, key, record, lo, hi):
+    return [record(simulate(replace(config, seed=(*key, i))), i) for i in range(lo, hi)]
+
+
+def path_records(config, key, n, record, workers=1):
+    """``record(path, i)`` for the path of each i in range(n), in index order.
+
+    Path i is ``simulate(config)`` under the seed (*key, i), so the list is
+    the same for any ``workers``; with more than one, ``record`` must pickle.
+    """
+    blocks = map_blocks(_record_block, n, (config, key, record), workers)
+    return [rec for block in blocks for rec in block]
 
 
 def window_deviation(path, lo, hi, anchor):
@@ -209,7 +220,7 @@ def rescale_path(path, n):
         return path
     if path.mu is None:
         raise ConfigError("INVALID_CONFIG", "rescaling needs the path's mu")
-    meta = {k: v for k, v in path.meta.items() if k != "trees"}
+    meta = dict(path.meta)
     meta["rescaled_by"] = meta.get("rescaled_by", 0) + n
     return SamplePath(
         times=path.times / path.mu ** n,
@@ -230,20 +241,19 @@ def write_xy_csv(csv_file, header, xs, ys):
             np.asarray(xs, dtype=np.float64).tolist(), np.asarray(ys, dtype=np.float64).tolist()))
 
 
-def write_path_csv(path, csv_file, sidecar_file=None):
-    """Export `time,value` rows; optionally a JSON sidecar with the metadata."""
+def write_path_csv(path, csv_file, sidecar_file):
+    """Export `time,value` rows and a JSON sidecar with the metadata."""
     write_xy_csv(csv_file, "time,value", path.times, path.values)
-    if sidecar_file is not None:
-        side = {
-            "resolution_level": path.resolution_level,
-            "hurst": path.hurst,
-            "mu": path.mu,
-            "origin": path.origin,
-        }
-        side.update({k: v for k, v in path.meta.items() if k != "trees"})
-        with open(sidecar_file, "w") as fh:
-            json.dump(side, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    side = {
+        "resolution_level": path.resolution_level,
+        "hurst": path.hurst,
+        "mu": path.mu,
+        "origin": path.origin,
+    }
+    side.update(path.meta)
+    with open(sidecar_file, "w") as fh:
+        json.dump(side, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _read_columns(csv_file, time_col=0, value_col=1):
@@ -307,6 +317,11 @@ def read_path_csv(csv_file, sidecar_file=None):
             raise ConfigError("PARSE_ERROR", f"sidecar {sidecar_file}: {exc}") from exc
         if not isinstance(side, dict):
             raise ConfigError("PARSE_ERROR", f"sidecar {sidecar_file} must hold a JSON object")
+        # type() rather than isinstance(): a JSON true is neither a level nor a number
+        if type(side.get("resolution_level", 0)) is not int or not all(
+                type(side.get(key)) in (type(None), int, float) for key in ("hurst", "mu")):
+            raise ConfigError("PARSE_ERROR", f"sidecar {sidecar_file}: resolution_level must "
+                              "be an integer, and hurst and mu numbers or null")
     return SamplePath(
         times=times,
         values=values,

@@ -39,17 +39,17 @@ class TailFit:
         return abs(self.slope - self.target_exponent) / abs(self.target_exponent)
 
 
-def fit_log_minus_log(abscissa, p_hat, target_exponent, min_points=4, cls=TailFit, **extra):
-    """Fit log(-log p_hat) vs log(abscissa) over points with 0 < p_hat < 1."""
+def fit_log_minus_log(abscissa, p_hat, target_exponent, cls=TailFit, **extra):
+    """Fit log(-log p_hat) vs log(abscissa) over the points, at least 4, with 0 < p_hat < 1."""
     abscissa = np.asarray(abscissa, dtype=np.float64)
     p_hat = np.asarray(p_hat, dtype=np.float64)
     if abscissa.size == 0:
         raise ConfigError("INVALID_CONFIG", "empty abscissa grid")
     ok = (p_hat > 0.0) & (p_hat < 1.0)
-    if int(ok.sum()) < min_points:
+    if int(ok.sum()) < 4:
         raise AnalysisError(
             "INSUFFICIENT_TAIL_POINTS",
-            f"only {int(ok.sum())} grid points have 0 < p_hat < 1 (need {min_points})",
+            f"only {int(ok.sum())} grid points have 0 < p_hat < 1 (need 4)",
         )
     x = np.log(abscissa[ok])
     y = np.log(-np.log(p_hat[ok]))
@@ -88,19 +88,14 @@ W_TAIL_WINDOW = (2e-5, 0.02)
 W_TAIL_POINTS = 16
 
 
-def w_left_tail_fit(ensemble, x_grid=None):
+def w_left_tail_fit(ensemble):
     """Fit the left-tail exponent of W; target is -H/(1-H).
 
-    With no explicit grid, thresholds are empirical quantiles at tail
-    probabilities log-spaced across W_TAIL_WINDOW.
+    Thresholds are empirical quantiles at tail probabilities log-spaced
+    across W_TAIL_WINDOW.
     """
     w = np.asarray(ensemble.samples, dtype=np.float64)
-    if x_grid is None:
-        x_grid = quantile_grid(w, *W_TAIL_WINDOW, W_TAIL_POINTS, tail="lower")
-    else:
-        x_grid = np.asarray(x_grid, dtype=np.float64)
-        if x_grid.size and np.any(np.diff(x_grid) <= 0):
-            raise ConfigError("INVALID_CONFIG", "x_grid must be strictly increasing")
+    x_grid = quantile_grid(w, *W_TAIL_WINDOW, W_TAIL_POINTS, tail="lower")
     p_hat = np.searchsorted(np.sort(w), x_grid, side="left") / w.size
     h = ensemble.source.hurst
     return fit_log_minus_log(x_grid, p_hat, -h / (1.0 - h))

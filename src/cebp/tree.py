@@ -14,7 +14,7 @@ direct pair repeating the parent orientation.  That forces the up/down child
 counts Z/2 +- 1 and makes the last child end where the parent ends.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +49,6 @@ class CrossingTree:
     z: list                 # per generation 0..depth-1: int64 children counts
     durations: list | None = None
     start_times: list | None = None
-    duration_mode: str | None = None
-    w_generations: int | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def generation_sizes(self):
@@ -99,7 +96,7 @@ def expand_tree(dist, root_orientation, depth, rng, node_budget=DEFAULT_NODE_BUD
         raise ConfigError("INVALID_Z", f"depth must be >= 0, got {depth}")
     if root_orientation not in (UP, DOWN):
         raise ConfigError("INVALID_Z", f"root orientation must be +1 or -1, got {root_orientation!r}")
-    if node_budget is not None and dist.mu ** depth > 4.0 * node_budget:
+    if dist.mu ** depth > 4.0 * node_budget:
         raise BudgetError(
             "NODE_BUDGET_EXCEEDED",
             f"expected population mu^m = {dist.mu ** depth:.3g} far exceeds "
@@ -112,7 +109,7 @@ def expand_tree(dist, root_orientation, depth, rng, node_budget=DEFAULT_NODE_BUD
         parents = orientations[g]
         z = dist.sample_z(rng, size=parents.size)
         total += int(z.sum())
-        if node_budget is not None and total > node_budget:
+        if total > node_budget:
             raise BudgetError(
                 "NODE_BUDGET_EXCEEDED",
                 f"tree grew past {node_budget:g} nodes at generation {g + 1}",
@@ -163,8 +160,6 @@ def assign_durations(tree, dist, mode, rng, w_generations=12, leaves_only=False)
             starts[g] = leaf_cum[leaf_left]
     tree.durations = durations
     tree.start_times = starts
-    tree.duration_mode = mode
-    tree.w_generations = w_generations if mode == "sampled" else None
     return tree
 
 

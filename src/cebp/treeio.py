@@ -4,9 +4,9 @@ Records carry (id, parent_id, level, position, orientation, z) plus duration
 and start_time when assigned.  Node ids run generation-major (root first, then
 generation 1 left to right, and so on), which makes the files diffable and
 lets the reader rebuild the arena without a link-resolution pass; the reader
-checks each tree with ``validate_tree`` and every id and parent_id against
-that layout.  Floats go
-through Python's shortest round-trip repr, so write/read is exact.  Lines
+checks each field's JSON type, each tree with ``validate_tree``, and every id
+and parent_id against that layout.  Floats go through Python's shortest
+round-trip repr, so write/read is exact.  Lines
 keep the ``json.dumps`` layout (keys in the order above, then ``tree`` in
 multi-tree files), formatted a generation's columns at a time; the sha256
 pins in ``tests/test_artifact_oracle.py`` hold those bytes fixed.
@@ -54,6 +54,20 @@ def _malformed(line_no, why):
     return ConfigError("MALFORMED_RECORD", f"line {line_no}: {why}")
 
 
+def _int(value):
+    return type(value) is int and abs(value) < 2 ** 63     # a JSON true is no integer
+
+
+# field -> (check, what it wants); a present field that fails its check is malformed
+_FIELDS = {
+    **dict.fromkeys(("id", "level", "position", "z", "tree"), (_int, "an integer")),
+    "parent_id": (lambda v: v is None or _int(v), "an integer or null"),
+    "orientation": (lambda v: v in ("+", "-"), "'+' or '-'"),
+    **dict.fromkeys(("duration", "start_time"), (
+        lambda v: _int(v) or type(v) is float and bool(np.isfinite(v)), "a finite number")),
+}
+
+
 def _build_tree(rows):
     root_level = max(rec["level"] for rec, _ in rows)
     by_level = {}
@@ -69,7 +83,7 @@ def _build_tree(rows):
         for want, (rec, line_no) in enumerate(recs):
             if rec["position"] != want:
                 raise _malformed(line_no, f"positions at level {rec['level']} are not 0..{len(recs) - 1}")
-            if ("duration" in rec) != with_durations:
+            if ("duration" in rec, "start_time" in rec) != (with_durations,) * 2:
                 raise _malformed(line_no, "inconsistent duration fields across records")
         ordered += recs
         orientations.append(np.array(
@@ -122,11 +136,14 @@ def read_trees(path):
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise _malformed(line_no, f"not valid JSON ({exc.msg})") from exc
+            if not isinstance(rec, dict):
+                raise _malformed(line_no, "a record must be a JSON object")
             for key in ("id", "level", "position", "orientation", "z"):
                 if key not in rec:
                     raise _malformed(line_no, f"missing field {key!r}")
-            if rec["orientation"] not in CHAR_ORIENTS:
-                raise _malformed(line_no, f"orientation must be '+' or '-', got {rec['orientation']!r}")
+            for key, (ok, what) in _FIELDS.items():
+                if key in rec and not ok(rec[key]):
+                    raise _malformed(line_no, f"{key} must be {what}, got {rec[key]!r}")
             groups.setdefault(rec.get("tree", 0), []).append((rec, line_no))
     if not groups:
         raise _malformed(1, "empty tree stream")

@@ -21,7 +21,9 @@ a boolean ``pass``:
   dominance ordering for the stock families.
 
 All suites derive every random draw from (seed, record index), so reports
-are identical for any ``workers`` value.
+are identical for any ``workers`` value.  The path ensembles of
+``increments``, ``remaining-time`` and ``modulus`` run through
+``paths.path_records``, the one per-record loop, with one config per ensemble.
 """
 
 from functools import partial
@@ -39,7 +41,7 @@ from .increments import (
 )
 from .modulus import band_stability, modulus_ratio
 from .offspring import check_assumption_gw, check_assumption_z, make_offspring
-from .paths import SimulationConfig, simulate
+from .paths import SimulationConfig, path_records, simulate
 from .rng import STREAM_MODULUS, STREAM_PATH, map_blocks
 from .tailfit import w_left_tail_fit
 
@@ -81,7 +83,7 @@ def verify_w_tail(families=None, generations=12, n_samples=1_000_000,
             partial(sample_w_range, master_seed=seed), n_samples,
             (dist, generations), workers,
         ))
-        ensemble = WEnsemble(generations=generations, samples=samples, source=dist)
+        ensemble = WEnsemble(samples=samples, source=dist)
         fit = w_left_tail_fit(ensemble)
         ok = fit.relative_error <= rel_tol and fit.r_squared >= r2_min
         results.append({
@@ -138,30 +140,21 @@ def verify_increments(family=None, t=0.045, n_records=100_000, depth=7,
 # ---------------------------------------------------------------------------
 # remaining time
 
-def _remaining_chunk(dist, depth, level, queries, seed, lo, hi):
-    out = []
-    for i in range(lo, hi):
-        cfg = SimulationConfig(
-            offspring=dist, depth=depth, duration_mode="sampled",
-            seed=(seed, STREAM_PATH, i), keep_trees=False,
-        )
-        path = simulate(cfg)
-        out.append(remaining_time_records(
-            path, level=level, n_queries=queries,
-            master_seed=seed, query_index=i,
-        ))
-    return out
+def _remaining_record(level, queries, seed, path, i):
+    return remaining_time_records(path, level=level, n_queries=queries,
+                                  master_seed=seed, query_index=i)
 
 
 def verify_remaining_time(family=None, depth=9, level=-6, n_paths=10,
                           queries_per_path=10_000, seed=0, tol=0.2, workers=1):
     """Pooled remaining-time chord over sampled-duration paths; target -1."""
     spec = GEOM_HALF if family is None else family
-    parts = map_blocks(_remaining_chunk, n_paths,
-                       (make_offspring(**spec), depth, level, queries_per_path, seed),
-                       workers)
-    batches = [rec for part in parts for rec in part]
-    fit = remaining_time_tail(batches)
+    config = SimulationConfig(offspring=make_offspring(**spec), depth=depth,
+                              duration_mode="sampled", keep_trees=False)
+    fit = remaining_time_tail(path_records(
+        config, (seed, STREAM_PATH), n_paths,
+        partial(_remaining_record, level, queries_per_path, seed), workers,
+    ))
     ok = abs(fit.slope - fit.target_exponent) <= tol
     return {
         "suite": "remaining-time",
@@ -187,21 +180,8 @@ MODULUS_SPECS = (
 )
 
 
-def _modulus_chunk(dist, depth, w_generations, l_lo, l_hi, seed, fam_index,
-                   s_lo, s_hi):
-    rows = np.empty((s_hi - s_lo, l_hi - l_lo + 1))
-    for i in range(s_lo, s_hi):
-        # sampled populations fluctuate a few-fold around mu**depth, and
-        # tiling may stack several roots, so leave generous node headroom
-        cfg = SimulationConfig(
-            offspring=dist, depth=depth, duration_mode="sampled",
-            w_generations=w_generations, root_mode="tile", target_horizon=1.0,
-            seed=(seed, STREAM_MODULUS, fam_index, i), keep_trees=False,
-            node_budget=60_000_000,
-        )
-        path = simulate(cfg)
-        rows[i - s_lo] = modulus_ratio(path, (l_lo, l_hi)).ratios
-    return rows
+def _modulus_record(l_range, path, i):
+    return modulus_ratio(path, l_range).ratios
 
 
 def verify_modulus(specs=MODULUS_SPECS, n_seeds=50, l_range=(4, 12), seed=0,
@@ -222,10 +202,16 @@ def verify_modulus(specs=MODULUS_SPECS, n_seeds=50, l_range=(4, 12), seed=0,
     results = []
     for k, spec in enumerate(specs):
         dist = make_offspring(**spec["family"])
-        ratios = np.vstack(map_blocks(
-            _modulus_chunk, n_seeds,
-            (dist, spec["depth"], spec["w_generations"], l_lo, l_hi, seed, k),
-            workers,
+        # sampled populations fluctuate a few-fold around mu**depth, and
+        # tiling may stack several roots, so leave generous node headroom
+        config = SimulationConfig(
+            offspring=dist, depth=spec["depth"], duration_mode="sampled",
+            w_generations=spec["w_generations"], root_mode="tile", target_horizon=1.0,
+            keep_trees=False, node_budget=60_000_000,
+        )
+        ratios = np.vstack(path_records(
+            config, (seed, STREAM_MODULUS, k), n_seeds,
+            partial(_modulus_record, (l_lo, l_hi)), workers,
         ))
         per_level = ratios.mean(axis=0)
         a, b, _, halves, ok = band_stability(
@@ -347,9 +333,7 @@ SUITES = {
 
 def run_suite(name, seed=0, workers=1, **overrides):
     """Run one named suite with keyword overrides; returns its report."""
-    if name not in SUITES:
-        raise KeyError(name)
-    fn = SUITES[name]
+    fn = SUITES[name]       # KeyError for an unknown name
     if name == "assumptions":
         return fn(**overrides)
     return fn(seed=seed, workers=workers, **overrides)

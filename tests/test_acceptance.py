@@ -66,9 +66,9 @@ def test_criterion_01_round_trip_extraction():
             path = simulate(SimulationConfig(
                 offspring=spec, depth=10, seed=seed, node_budget=100_000_000,
             ))
-            tree = path.meta["trees"][0]
+            tree = path.trees[0]
             forest = extract_crossing_forest(path, (-10, 0))
-            mismatch = forest_matches_tree(forest, tree, atol=1e-9)
+            mismatch = forest_matches_tree(forest, tree)
             assert mismatch is None, f"{spec} seed {seed}: {mismatch}"
             checked += 1
     _finish("criterion 1", t0, 120.0, f"{checked} forests match their trees")
@@ -234,8 +234,9 @@ def test_criterion_07_monofractal_exponents():
         w_generations=6, root_mode="tile", target_horizon=1.0,
         seed=(0, 0x4D, 7, 0), keep_trees=False, node_budget=60_000_000,
     ))
-    shallow = holder_histogram(path, n_grid=1000, eps_levels=range(4, 9)).summary()
-    deep = holder_histogram(path, n_grid=1000, eps_levels=range(6, 13)).summary()
+    shallow, deep = ({"mean": v.mean(), "std": v.std(ddof=1)} for v in (
+        holder_histogram(path, n_grid=1000, eps_levels=range(4, 9)).valid,
+        holder_histogram(path, n_grid=1000, eps_levels=range(6, 13)).valid))
     assert abs(shallow["mean"] - 0.5) <= 0.05, shallow
     assert abs(deep["mean"] - 0.5) <= 0.05, deep
     assert deep["std"] < shallow["std"], (shallow["std"], deep["std"])

@@ -81,13 +81,6 @@ def test_count_precondition():
         sample_W(dist, generations=0, count=10, seed=1)
 
 
-def test_depth_overflow_with_budget():
-    dist = make_offspring("geometric-pairs", p=0.5)
-    with pytest.raises(BudgetError) as err:
-        sample_W(dist, generations=12, count=10, seed=1, node_budget=10 ** 6)
-    assert err.value.code == "DEPTH_OVERFLOW"
-
-
 def test_depth_overflow_keeps_headroom_above_the_mean():
     # 4^31 = 2^62 fits int64 on average, but realized populations exceed it
     dist = make_offspring("geometric-pairs", p=0.5)

@@ -337,7 +337,7 @@ def test_analyze_and_ingest_reject_non_utf8_csv(tmp_path, monkeypatch):
     assert run_cli("ingest", "--path", "bin.csv") == 2
 
 
-@pytest.mark.parametrize("sidecar", ["{bad", "[1,2]"])
+@pytest.mark.parametrize("sidecar", ["{bad", "[1,2]", '{"resolution_level": "x"}'])
 def test_analyze_rejects_unreadable_sidecar(tmp_path, monkeypatch, sidecar):
     monkeypatch.chdir(tmp_path)
     write_ramp(tmp_path / "ramp.csv", n=4)

@@ -29,7 +29,7 @@ def _simulated(family, depth, mode="mean", seed=0):
         offspring=family, depth=depth, duration_mode=mode, seed=seed,
     )
     path = simulate(cfg)
-    return path, path.meta["trees"][0]
+    return path, path.trees[0]
 
 
 def test_ramp_passages_unit_lattice():
@@ -105,7 +105,7 @@ def test_round_trip_recovers_generating_tree(family):
     for seed in range(4):
         path, tree = _simulated(family, depth, mode="mean", seed=seed)
         forest = extract_crossing_forest(path, (-depth, 0))
-        assert forest_matches_tree(forest, tree, atol=1e-9) is None
+        assert forest_matches_tree(forest, tree) is None
 
 
 def test_round_trip_with_sampled_durations():
@@ -114,7 +114,7 @@ def test_round_trip_with_sampled_durations():
             {"family": "geometric-pairs", "p": 0.5}, 5, mode="sampled", seed=seed,
         )
         forest = extract_crossing_forest(path, (-5, 0))
-        assert forest_matches_tree(forest, tree, atol=1e-9) is None
+        assert forest_matches_tree(forest, tree) is None
 
 
 def test_passage_times_nest_bit_exactly():

@@ -15,7 +15,7 @@ def test_geometric_pairs_closed_form():
     assert dist.mu == 4.0
     assert dist.hurst == pytest.approx(0.5)
     # pmf(2k) = 2^-k
-    table = dist.pmf
+    table = dict(zip(dist.support.tolist(), dist.probs.tolist()))
     for k in (1, 2, 3, 4):
         assert table[2 * k] == pytest.approx(2.0 ** -k, rel=1e-9)
     assert sum(table.values()) == pytest.approx(1.0, abs=1e-12)
@@ -42,7 +42,7 @@ def test_fixed_pairs_ok():
     assert dist.mu == 4.0
     # all mass sits above the minimal count, so P(Z > 2) = 1
     assert dist.pi == 1.0
-    assert dist.pmf == {4: 1.0}
+    assert dist.support.tolist() == [4] and dist.probs.tolist() == [1.0]
 
 
 @pytest.mark.parametrize(

@@ -18,9 +18,7 @@ from cebp.tree import UP, assign_durations, expand_tree
 
 def make_tree(dist, depth, seed, mode="mean"):
     tree = expand_tree(dist, UP, depth, np.random.default_rng((100, seed)))
-    assign_durations(tree, dist, mode, np.random.default_rng((101, seed)))
-    tree.meta.update(mu=dist.mu, hurst=dist.hurst)
-    return tree
+    return assign_durations(tree, dist, mode, np.random.default_rng((101, seed)))
 
 
 def test_missing_durations():
@@ -87,7 +85,8 @@ def test_dropping_trees_leaves_the_path_unchanged(mode, root_mode):
     kept, dropped = run(True), run(False)
     assert np.array_equal(kept.times, dropped.times)
     assert np.array_equal(kept.values, dropped.values)
-    assert "trees" not in dropped.meta
+    assert len(kept.trees) == kept.meta.get("n_roots", 1)
+    assert dropped.trees is None
 
 
 def test_tile_mode_fixed_pairs_exact_horizon():
@@ -107,7 +106,7 @@ def test_tile_mode_continues_value():
     assert path.meta["n_roots"] >= 3
     assert np.all(np.diff(path.times) > 0)
     # each tile moves the value by exactly +-1 from the previous root endpoint
-    ends = np.cumsum([t.orientations[0][0] for t in path.meta["trees"]])
+    ends = np.cumsum([t.orientations[0][0] for t in path.trees])
     assert abs(path.values[-1] - ends[-1]) < 1e-9
 
 
@@ -129,8 +128,8 @@ def test_budget_propagates():
 
 
 def test_rescale_identity_and_scaling():
-    dist = make_offspring("fixed-pairs", b=2)
-    path = build_path(make_tree(dist, 3, 1))
+    path = simulate(SimulationConfig(offspring={"family": "fixed-pairs", "b": 2},
+                                     depth=3, seed=1))
     assert rescale_path(path, 0) is path
     scaled = rescale_path(path, 1)
     assert np.allclose(scaled.times, path.times / 4.0)
@@ -146,27 +145,13 @@ def test_rescale_distributional_invariance():
     for seed in range(800):
         cfg = SimulationConfig(offspring=dist, depth=5, seed=(7, seed), keep_trees=False)
         path = simulate(cfg)
-        mids.append(path.value_at(path.span / 2.0))
+        mids.append(np.interp(path.span / 2.0, path.times, path.values))
         deeper = simulate(SimulationConfig(offspring=dist, depth=6, seed=(8, seed),
                                            keep_trees=False))
         scaled = rescale_path(deeper, 1)
-        mids_scaled.append(2.0 * scaled.value_at(scaled.span / 2.0))
+        mids_scaled.append(2.0 * np.interp(scaled.span / 2.0, scaled.times, scaled.values))
     ks = stats.ks_2samp(mids, mids_scaled)
     assert ks.pvalue > 1e-3
-
-
-def test_value_at_on_uniform_grid():
-    dist = make_offspring("fixed-pairs", b=2)
-    path = build_path(make_tree(dist, 2, 2))
-    assert np.allclose(path.value_at([0.0, 1.0]), [0.0, 1.0])
-    grid = np.linspace(0.0, 1.0, 33)
-    values = path.value_at(grid)
-    # knot times are on the uniform grid here, so knot values are exact
-    knot_idx = np.searchsorted(grid, path.times)
-    assert np.allclose(values[knot_idx], path.values, atol=1e-12)
-    # midway between knots the interpolation averages the neighbors
-    mid = (path.times[3] + path.times[4]) / 2.0
-    assert path.value_at(mid) == pytest.approx((path.values[3] + path.values[4]) / 2.0)
 
 
 def test_csv_round_trip(tmp_path):
@@ -232,7 +217,10 @@ def test_csv_that_is_not_utf8_is_a_parse_error(tmp_path):
         assert "bin.csv" in str(err.value)
 
 
-@pytest.mark.parametrize("sidecar", [b"{bad", b"[1,2]", b"\xff"])
+@pytest.mark.parametrize("sidecar", [
+    b"{bad", b"[1,2]", b"\xff", b'{"resolution_level": "x"}', b'{"resolution_level": true}',
+    b'{"resolution_level": 1.5}', b'{"hurst": "a"}', b'{"mu": [4]}', b'{"mu": false}',
+])
 def test_unreadable_sidecar_is_a_parse_error(tmp_path, sidecar):
     csv_file, side_file = tmp_path / "p.csv", tmp_path / "p.json"
     csv_file.write_text("time,value\n0.0,0.0\n1.0,1.0\n")

@@ -4,6 +4,7 @@ Examples are derandomized so the suite gives the same verdict on every run.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -30,6 +31,13 @@ FAMILIES = st.one_of(
 NUMBERS = st.one_of(st.floats(), st.integers(-3, 3), st.just(""))
 CSV_TEXT = st.lists(st.tuples(NUMBERS, NUMBERS), max_size=6).map(
     lambda rows: "".join(f"{t},{v}\n" for t, v in rows).encode())
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,4 +90,24 @@ def test_simulated_forest_matches_its_tree(spec, depth, seed, mode):
     path = simulate(SimulationConfig(offspring=spec, depth=depth, duration_mode=mode,
                                      w_generations=4, seed=seed))
     forest = extract_crossing_forest(path, (-depth, 0))
-    assert forest_matches_tree(forest, path.meta["trees"][0]) is None
+    assert forest_matches_tree(forest, path.trees[0]) is None
+
+
+@settings(PROPERTY, max_examples=400)
+@given(data=st.data(), durations=st.booleans(), n_trees=st.integers(1, 2), value=JSON_VALUES)
+def test_tree_reader_raises_only_cebp_errors(new_file, data, durations, n_trees, value):
+    dist = make_offspring("fixed-pairs", b=2)
+    trees = [expand_tree(dist, UP, 1, np.random.default_rng(i)) for i in range(n_trees)]
+    if durations:
+        trees = [assign_durations(tree, dist, "mean", None) for tree in trees]
+    good = new_file(".ndjson")
+    write_trees(trees, good)
+    recs = [json.loads(line) for line in good.read_text().splitlines()]
+    index = data.draw(st.integers(0, len(recs) - 1))
+    recs[index][data.draw(st.sampled_from(sorted(recs[index])))] = value
+    bad = new_file(".ndjson")
+    bad.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    try:
+        read_trees(bad)
+    except CebpError:
+        pass

@@ -76,10 +76,3 @@ def test_w_left_tail_smoke():
     # loose unit-test band; the acceptance run uses 10^6 samples
     assert fit.slope == pytest.approx(-1.0, abs=0.3)
     assert fit.r_squared > 0.98
-
-
-def test_w_left_tail_explicit_grid_validation():
-    dist = make_offspring("geometric-pairs", p=0.5)
-    ens = sample_W(dist, generations=6, count=1000, seed=13)
-    with pytest.raises(ConfigError):
-        w_left_tail_fit(ens, x_grid=[0.5, 0.4])

@@ -171,7 +171,7 @@ def tile_trees():
     config = SimulationConfig(offspring={"family": "geometric-pairs", "p": 0.5}, depth=7,
                               duration_mode="sampled", root_mode="tile",
                               target_horizon=3.0, seed=5)
-    return simulate(config).meta["trees"]
+    return simulate(config).trees
 
 
 @pytest.mark.parametrize("make_trees", [
@@ -220,3 +220,32 @@ def test_ids_off_the_generation_major_layout_rejected(tmp_path, key, value):
         read_text("\n".join(lines), tmp_path)
     assert err.value.code == "MALFORMED_RECORD"
     assert "line 8" in str(err.value)
+
+
+# a valid three-node tree: the root and its direct pair, with durations
+THREE_NODES = [
+    {"id": 0, "parent_id": None, "level": 0, "position": 0, "orientation": "+", "z": 2,
+     "duration": 1.0, "start_time": 0.0},
+    {"id": 1, "parent_id": 0, "level": -1, "position": 0, "orientation": "+", "z": 0,
+     "duration": 0.5, "start_time": 0.0},
+    {"id": 2, "parent_id": 0, "level": -1, "position": 1, "orientation": "+", "z": 0,
+     "duration": 0.5, "start_time": 0.5},
+]
+
+
+@pytest.mark.parametrize("index, key, value", [
+    (0, "z", 2.7), (0, None, 5), (1, "level", "a"), (2, "duration", "x"), (0, None, [1]),
+    (0, "z", True), (1, "id", 1.0), (1, "parent_id", "0"), (2, "position", None),
+    (2, "start_time", float("nan")), (1, "orientation", ["+"]), (0, "tree", "a"),
+])
+def test_field_of_the_wrong_json_type_rejected(tmp_path, index, key, value):
+    recs = [dict(rec) for rec in THREE_NODES]
+    assert read_text("".join(json.dumps(rec) + "\n" for rec in recs), tmp_path)
+    if key is None:
+        recs[index] = value
+    else:
+        recs[index][key] = value
+    with pytest.raises(ConfigError) as err:
+        read_text("".join(json.dumps(rec) + "\n" for rec in recs), tmp_path)
+    assert err.value.code == "MALFORMED_RECORD"
+    assert f"line {index + 1}" in str(err.value)
