@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import EXIT_ANALYSIS, EXIT_CONFIG, CebpError, ConfigError
+from .errors import EXIT_ANALYSIS, EXIT_CONFIG, AnalysisError, CebpError, ConfigError
 from .extract import duration_scale_invariance, estimate_hurst, extract_crossing_forest
 from .offspring import check_assumption_gw, check_assumption_z, make_offspring
 from .paths import (SimulationConfig, ingest_csv, read_path_csv, simulate, write_path_csv,
@@ -174,7 +174,7 @@ def cmd_analyze(args):
         report["scale_invariance"] = duration_scale_invariance(
             forest, mu=args.mu, min_crossings=args.min_crossings,
         )
-    except CebpError as exc:
+    except AnalysisError as exc:
         report["scale_invariance"] = {"error": str(exc)}
     _write_forest(forest, f"{args.out}.forest.ndjson")
     _write_json(f"{args.out}.estimates.json", report)

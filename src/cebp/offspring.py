@@ -15,7 +15,6 @@ trees.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigError
 
@@ -138,11 +137,16 @@ def make_offspring(family, **params):
         return _validated(family, {"p": p}, 2 * k, probs / probs.sum(), 2.0 / p)
     if family == "poisson-pairs":
         lam = float(params.get("lam", np.nan))
-        if not lam > 0:
-            raise ConfigError("INVALID_PMF", f"poisson-pairs needs lam > 0, got {lam!r}")
-        jmax = int(stats.poisson.isf(TAIL_MASS, lam)) + 2
-        j = np.arange(0, jmax + 1)
-        probs = stats.poisson.pmf(j, lam)
+        if not 0 < lam < np.inf:
+            raise ConfigError("INVALID_PMF", f"poisson-pairs needs finite lam > 0, got {lam!r}")
+        # pmf exp(j log lam - log j! - lam) well into the tail; keep j up to 2
+        # past the first j with P(J > j) <= TAIL_MASS
+        j = np.arange(0, int(lam + 12 * np.sqrt(lam)) + 40)
+        log_fact = np.concatenate([[0.0], np.cumsum(np.log(j[1:]))])
+        probs = np.exp(j * np.log(lam) - log_fact - lam)
+        above = np.cumsum(probs[::-1])[::-1][1:]     # above[j] = P(J > j)
+        j = j[: int(np.argmax(above <= TAIL_MASS)) + 3]
+        probs = probs[: j.size]
         return _validated(family, {"lam": lam}, 2 * (1 + j), probs / probs.sum(), 2.0 * (1 + lam))
     if family == "fixed-pairs":
         b = params.get("b")

@@ -139,6 +139,8 @@ def assign_durations(tree, dist, mode, rng, w_generations=12, leaves_only=False)
     if mode == "mean":
         leaf_dur = np.full(n_leaves, leaf_scale, dtype=np.float64)
     else:
+        if w_generations < 0:
+            raise ConfigError("INVALID_CONFIG", f"w_generations must be >= 0, got {w_generations}")
         check_depth(dist, w_generations)
         counts = np.ones(n_leaves, dtype=np.int64)
         for _ in range(w_generations):

@@ -127,15 +127,15 @@ def write_trees(trees, path):
 def read_trees(path):
     """Read an NDJSON file holding one tree or several `tree`-tagged ones."""
     groups = {}
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise _malformed(line_no, f"not valid JSON ({exc.msg})") from exc
+                rec = json.loads(line.decode("utf-8"))
+            except ValueError as exc:   # not UTF-8, not JSON, or an integer too long to convert
+                raise _malformed(line_no, f"not valid UTF-8 JSON ({getattr(exc, 'msg', exc)})") from exc
             if not isinstance(rec, dict):
                 raise _malformed(line_no, "a record must be a JSON object")
             for key in ("id", "level", "position", "orientation", "z"):

@@ -2,8 +2,9 @@
 
 Refactors must leave these artifacts unchanged; a deliberate change of the
 random-stream layout or of an artifact format updates the pins and says so.
-Fitted reports (``estimates.json``, verify reports) are left out because their
-least-squares fits may differ in the last bit between LAPACK builds.
+Fitted reports (``estimates.json`` and the verify suites that fit a slope) are
+left out because their least-squares fits may differ in the last bit between
+LAPACK builds; ``verify assumptions`` fits nothing and is pinned.
 """
 
 import hashlib
@@ -14,7 +15,9 @@ from cebp.cli import main
 
 SIMULATE = ("simulate", "--family", "geometric-pairs", "--p", "0.5", "--depth", "5")
 # Sampled, tiled runs of the two families whose draws take their own code:
-# the poisson-pairs pmf table and the custom binomial-split population step.
+# poisson-pairs draws with rng.poisson, custom with a binomial split across its
+# table.  Neither reads the poisson-pairs pmf table; the check-dist and
+# assumptions reports below do.
 TILED = ("--depth", "5", "--mode", "sampled", "--root-mode", "tile", "--horizon", "2")
 
 EXTERNAL_CSV = (
@@ -31,6 +34,9 @@ EXTERNAL_CSV = (
 PINS = {
     "an.forest.ndjson": "12bf2a12595bd06b5aef9ed93b5b0c5779be261b6f6fb6f9a266cacf157e0cf8",
     "an.mean_duration.csv": "fa383fcdc1ef230156410f852cb59d40874eef71bc51cb597c128a8dd19c91c2",
+    "chk_pois1.json": "581db288fdbff9b2b264e1a1e76c05b90ad51f488126678c909ec75bd8934caa",
+    "chk_pois05.json": "6ef41a0a3ad10bf556dcf9fd6a0283364e02595ea7f7791c7f21688283b60c3b",
+    "assumptions.json": "33f6a2eedcb6465368bf2441f4a106767d90dd7b85c38c65501cc0f2b2d6bb64",
     "ing.csv": "b0bae2980597a8bf2459c497b21fbbf04e591f94d8790991972b0497eb3ab5a0",
     "cust.csv": "776d8421fc1ebd45eb582a9946bb51a0adab38b544b6d3c3fe8e0c804f7a0deb",
     "cust.json": "a715197b9fcc20e578a1efe9ad54697856f834fd3e4f47743cb4a3ce07565763",
@@ -65,6 +71,10 @@ def artifacts(tmp_path_factory):
             ("analyze", "--path", "mean.csv", "--levels", "-5:0", "--emit-plots",
              "--out", "an"),
             ("ingest", "--path", "ext.csv", "--value-col", "1", "--anchor", "--out", "ing"),
+            ("check-dist", "--family", "poisson-pairs", "--lambda", "1", "--out", "chk_pois1.json"),
+            ("check-dist", "--family", "poisson-pairs", "--lambda", "0.5",
+             "--out", "chk_pois05.json"),
+            ("verify", "assumptions", "--out", "assumptions.json"),
         ]
         for argv in runs:
             assert main(list(argv)) == 0

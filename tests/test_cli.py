@@ -330,6 +330,31 @@ def test_verify_all_rejects_bad_flags_before_running_a_suite(tmp_path, monkeypat
     assert run_cli("verify", "all", "--depth", "9") == 2
 
 
+def test_sampled_durations_refuse_negative_w_generations(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = run_cli("simulate", "--family", "geometric-pairs", "--p", "0.5",
+                   "--depth", "5", "--mode", "sampled", "--w-generations", "-1")
+    assert code == 2
+    assert not (tmp_path / "cebp_run.csv").exists()
+
+
+@pytest.mark.parametrize("mu", ["0", "-4", "nan", "inf"])
+def test_analyze_refuses_a_bad_mu(tmp_path, monkeypatch, mu):
+    monkeypatch.chdir(tmp_path)
+    run_cli("simulate", "--family", "geometric-pairs", "--p", "0.5",
+            "--depth", "6", "--seed", "11", "--out", "run")
+    assert run_cli("analyze", "--path", "run.csv", "--levels", "-6:0", "--mu", mu) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.json",
+                                                          "run.trees.ndjson"]
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, cebp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_analyze_and_ingest_reject_non_utf8_csv(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bin.csv").write_bytes(b"\xff\xfe")

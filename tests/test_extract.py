@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from cebp.errors import AnalysisError, ConfigError
 from cebp.extract import (
+    _ks_distance,
     duration_scale_invariance,
     estimate_hurst,
     extract_crossing_forest,
@@ -185,6 +187,39 @@ def test_scale_invariance_needs_populated_pair():
     with pytest.raises(AnalysisError) as err:
         duration_scale_invariance(forest, mu=4.0, min_crossings=100)
     assert err.value.code == "INSUFFICIENT_CROSSINGS"
+
+
+@pytest.mark.parametrize("mu", [0.0, -4.0, float("nan"), float("inf")])
+def test_scale_invariance_refuses_a_bad_mu(mu):
+    path, _ = _simulated({"family": "geometric-pairs", "p": 0.5}, 8, mode="sampled", seed=5)
+    forest = extract_crossing_forest(path, (-7, -3))
+    with pytest.raises(ConfigError) as err:
+        duration_scale_invariance(forest, mu=mu)
+    assert err.value.code == "INVALID_CONFIG"
+
+
+def _ks_sample(rng, size, ties):
+    if ties:        # few distinct values, so both samples share many of them
+        return rng.integers(0, 8, size).astype(np.float64)
+    return rng.exponential(size=size)
+
+
+def test_ks_distance_matches_scipy_on_small_samples():
+    # below 10,000 points scipy rounds d onto the 1/lcm(n1, n2) grid
+    rng = np.random.default_rng(20)
+    for i in range(1200):
+        n1, n2 = rng.integers(1, 300, size=2)
+        a, b = _ks_sample(rng, n1, i % 2), 1.1 * _ks_sample(rng, n2, i % 2)
+        assert _ks_distance(a, b) == stats.ks_2samp(a, b).statistic, (i, n1, n2)
+
+
+@pytest.mark.parametrize("n1, n2", [(10_000, 10_000), (10_000, 9_999), (37, 10_000),
+                                    (10_001, 10_000), (10_001, 37), (12_000, 15_000)])
+@pytest.mark.parametrize("ties", [False, True])
+def test_ks_distance_matches_scipy_around_10000_points(n1, n2, ties):
+    rng = np.random.default_rng((21, n1, n2))
+    a, b = _ks_sample(rng, n1, ties), 1.02 * _ks_sample(rng, n2, ties)
+    assert _ks_distance(a, b) == stats.ks_2samp(a, b).statistic
 
 
 def test_subcrossing_pmf_geometric():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from cebp.errors import ConfigError
 from cebp.offspring import (
@@ -29,6 +30,22 @@ def test_poisson_pairs_closed_form():
     assert dist.support[0] == 2
     # mean of the truncated table must agree with the closed form
     assert np.dot(dist.support, dist.probs) == pytest.approx(4.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("lam", np.geomspace(0.1, 20.0, 60).tolist())
+def test_poisson_pairs_table_matches_scipy(lam):
+    dist = make_offspring("poisson-pairs", lam=lam)
+    j = np.arange(int(stats.poisson.isf(1e-12, lam)) + 3)     # support cut at isf + 2
+    np.testing.assert_array_equal(dist.support, 2 * (1 + j))
+    want = stats.poisson.pmf(j, lam)
+    np.testing.assert_allclose(dist.probs, want / want.sum(), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+def test_poisson_pairs_needs_finite_positive_lambda(lam):
+    with pytest.raises(ConfigError) as err:
+        make_offspring("poisson-pairs", lam=lam)
+    assert err.value.code == "INVALID_PMF"
 
 
 def test_fixed_pairs_subcritical_rejected():

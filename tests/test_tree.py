@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cebp.errors import BudgetError
+from cebp.errors import BudgetError, ConfigError
 from cebp.offspring import make_offspring
 from cebp.tree import (
     DOWN,
@@ -133,6 +133,17 @@ def test_sampled_durations_validate():
     assert np.all(leaves > 0)
     # sampled leaves vary, mean-mode leaves do not
     assert leaves.std() > 0
+
+
+def test_sampled_durations_refuse_negative_w_generations():
+    dist = make_offspring("geometric-pairs", p=0.5)
+    tree = expand_tree(dist, DOWN, 3, np.random.default_rng(11))
+    with pytest.raises(ConfigError) as err:
+        assign_durations(tree, dist, "sampled", np.random.default_rng(12), w_generations=-1)
+    assert err.value.code == "INVALID_CONFIG"
+    # zero generations is valid: every leaf gets its mean duration
+    assign_durations(tree, dist, "sampled", np.random.default_rng(12), w_generations=0)
+    assert np.all(tree.durations[3] == dist.mu ** -3)
 
 
 def test_sampled_matches_deeper_mean_mode_root_law():

@@ -93,6 +93,24 @@ def test_bad_json_line_reported(tmp_path):
     assert "line 3" in str(err.value)
 
 
+def test_non_utf8_bytes_reported(tmp_path):
+    path = tmp_path / "bin.ndjson"
+    path.write_bytes(b"\n\xff\xfe")
+    with pytest.raises(ConfigError) as err:
+        read_trees(path)
+    assert err.value.code == "MALFORMED_RECORD"
+    assert "line 2" in str(err.value)
+
+
+def test_overlong_integer_reported(tmp_path):
+    rec = {"id": 0, "parent_id": None, "level": 0, "position": 0, "orientation": "+", "z": 0}
+    line = json.dumps(rec).replace('"id": 0', '"id": ' + "9" * 5000)
+    with pytest.raises(ConfigError) as err:
+        read_text(line, tmp_path)
+    assert err.value.code == "MALFORMED_RECORD"
+    assert "line 1" in str(err.value)
+
+
 def test_missing_field_reported(tmp_path):
     rec = {"id": 0, "parent_id": None, "level": 0, "position": 0, "orientation": "+"}
     with pytest.raises(ConfigError) as err:
