@@ -52,7 +52,6 @@ from .paths import (
     SimulationConfig,
     ingest_csv,
     read_path_csv,
-    rescale_path,
     simulate,
     write_path_csv,
 )

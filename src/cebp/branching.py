@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ConfigError
-from .rng import STREAM_W, spawn_seed
+from .rng import STREAM_W, substream
 
 __all__ = ["WEnsemble", "sample_W", "sample_w_range"]
 
@@ -49,7 +49,7 @@ def sample_w_range(dist, generations, start, stop, master_seed):
     out = np.empty(stop - start, dtype=np.float64)
     norm = dist.mu ** generations
     for i in range(start, stop):
-        rng = np.random.default_rng(spawn_seed(master_seed, STREAM_W, i))
+        rng = substream(master_seed, STREAM_W, i)
         n = np.asarray(1, dtype=np.int64)
         for _ in range(generations):
             n = dist.population_step(rng, n)

@@ -272,6 +272,7 @@ def forest_matches_tree(forest, tree):
     Checks counts, orientations, passage times (to 1e-9), and subcrossing
     counts at every tree level present in the forest.
     """
+    durations, starts = tree.timing()
     for g in range(tree.depth + 1):
         n = tree.root_level - g
         if n not in forest.levels:
@@ -282,10 +283,10 @@ def forest_matches_tree(forest, tree):
             return f"level {n}: {rec.n} extracted crossings, tree has {size}"
         if not np.array_equal(rec.orientations, tree.orientations[g]):
             return f"level {n}: orientation mismatch"
-        if tree.has_durations:
-            if np.max(np.abs(rec.start_times - tree.start_times[g])) > 1e-9:
+        if durations is not None:
+            if np.max(np.abs(rec.start_times - starts[g])) > 1e-9:
                 return f"level {n}: start times differ beyond 1e-9"
-            ends = tree.start_times[g] + tree.durations[g]
+            ends = starts[g] + durations[g]
             if np.max(np.abs(rec.end_times - ends)) > 1e-9:
                 return f"level {n}: end times differ beyond 1e-9"
         if g < tree.depth and n - 1 >= forest.base_level:

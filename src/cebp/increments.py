@@ -44,6 +44,9 @@ __all__ = [
     "remaining_time_tail",
 ]
 
+# Span each increment record's tiled path covers; its lag t stays below 0.9 of it.
+INCREMENT_HORIZON = 1.0
+
 # Tail-probability window for the sup-increment quantile grid, and the
 # scaled-gap window for the remaining-time chord.  Both calibrated so the
 # fitted chords sit within a few percent of their targets at 1e5 records.
@@ -76,7 +79,7 @@ def _increment_record(t, master_seed, path, i):
 
 
 def increment_records(dist, t, n_records, master_seed,
-                      depth=7, horizon=1.0, workers=1):
+                      depth=7, workers=1):
     """Collect n_records independent (plain, sup) increment pairs.
 
     One path and one anchor per record; record i depends only on
@@ -84,15 +87,15 @@ def increment_records(dist, t, n_records, master_seed,
     """
     if not isinstance(dist, OffspringDistribution):
         dist = make_offspring(**dist)
-    if not 0 < t < 0.9 * horizon:
+    if not 0 < t < 0.9 * INCREMENT_HORIZON:
         raise ConfigError(
-            "INVALID_CONFIG", f"need 0 < t < 0.9 * horizon, got t={t}"
+            "INVALID_CONFIG", f"need 0 < t < 0.9 * horizon {INCREMENT_HORIZON}, got t={t}"
         )
     if n_records < 1:
         raise ConfigError("INVALID_CONFIG", f"need n_records >= 1, got {n_records}")
     config = SimulationConfig(
         offspring=dist, depth=depth, duration_mode="mean", root_mode="tile",
-        target_horizon=horizon, keep_trees=False,
+        target_horizon=INCREMENT_HORIZON, keep_trees=False,
     )
     plain, sup = np.array(path_records(
         config, (master_seed, STREAM_INCREMENT), n_records,

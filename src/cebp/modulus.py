@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 
+BAND_TOL = 0.25
+MAX_BAND_RATIO = 10.0
+
+
 def h_modulus(delta, hurst):
     """Gauge function delta**H * |ln delta|**(1 - H)."""
     delta = np.asarray(delta, dtype=float)
@@ -99,13 +103,13 @@ class ModulusReport:
     halves: dict
 
 
-def band_stability(levels, ratios, band_tol=0.25, max_band_ratio=10.0):
+def band_stability(levels, ratios):
     """Band [a, b] of per-level ratios and its stability verdict.
 
     Returns (a, b, split_level, halves, stable).  The halves are the bands of
     the lower and upper halves of the level range, which share the middle
-    level.  Stable means a > 0, b <= max_band_ratio * a, and the halves'
-    endpoints agree within ``band_tol`` relative to their mean.
+    level.  Stable means a > 0, b <= MAX_BAND_RATIO * a, and the halves'
+    endpoints agree within BAND_TOL relative to their mean.
     """
     levels = np.asarray(levels)
     mid = (int(levels[0]) + int(levels[-1])) // 2
@@ -115,16 +119,16 @@ def band_stability(levels, ratios, band_tol=0.25, max_band_ratio=10.0):
         "first": (float(first.min()), float(first.max())),
         "second": (float(second.min()), float(second.max())),
     }
-    close = all(abs(p - q) <= band_tol * 0.5 * (abs(p) + abs(q))
+    close = all(abs(p - q) <= BAND_TOL * 0.5 * (abs(p) + abs(q))
                 for p, q in zip(halves["first"], halves["second"]))
-    return a, b, mid, halves, bool(a > 0 and b <= max_band_ratio * a and close)
+    return a, b, mid, halves, bool(a > 0 and b <= MAX_BAND_RATIO * a and close)
 
 
 def modulus_ratio(path, l_range, hurst=None):
     """Ratios R(2**-l) for l in [lo, hi] plus a band-stability verdict.
 
-    ``stable`` is the verdict of ``band_stability`` at its defaults: the band
-    is positive, at most 10 wide, and its endpoints move less than 25 %
+    ``stable`` is the verdict of ``band_stability``: the band is positive,
+    at most MAX_BAND_RATIO wide, and its endpoints move by at most BAND_TOL
     (relative) between the lower and upper halves of the level range.
     """
     lo, hi = int(l_range[0]), int(l_range[1])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import BudgetError, ConfigError
 
 __all__ = [
     "OffspringDistribution",
@@ -29,6 +29,11 @@ __all__ = [
 ]
 
 TAIL_MASS = 1e-12
+
+# Largest count a pmf table may reach.  Each zeta that check_assumption_z tries
+# scans the table in time quadratic in its top count: about 4 s at this bound
+# on a 2-core machine.
+MAX_TABLE_COUNT = 2 ** 15
 
 FAMILIES = ("geometric-pairs", "poisson-pairs", "fixed-pairs", "custom")
 
@@ -119,6 +124,13 @@ def _validated(family, params, support, probs, mu):
     )
 
 
+def _check_table_count(z_top):
+    """Refuse a table that would reach past MAX_TABLE_COUNT, before it is built or scanned."""
+    if not z_top <= MAX_TABLE_COUNT:
+        raise BudgetError("TABLE_BUDGET_EXCEEDED", f"a pmf table up to count {z_top:.4g} "
+                          f"exceeds the budget of {MAX_TABLE_COUNT}")
+
+
 def make_offspring(family, **params):
     """Build a validated offspring law.
 
@@ -131,8 +143,10 @@ def make_offspring(family, **params):
         if not 0 < p < 1:
             raise ConfigError("INVALID_PMF", f"geometric-pairs needs 0 < p < 1, got {p!r}")
         # Z/2 ~ geometric(p) on {1, 2, ...}; truncate where the tail < 1e-12
-        kmax = int(np.ceil(np.log(TAIL_MASS) / np.log1p(-p))) + 1
-        k = np.arange(1, kmax + 1)
+        # Python floats, so a tiny p overflows to inf without a warning
+        kmax = np.ceil(float(np.log(TAIL_MASS)) / float(np.log1p(-p))) + 1
+        _check_table_count(2 * kmax)
+        k = np.arange(1, int(kmax) + 1)
         probs = p * (1 - p) ** (k - 1)
         return _validated(family, {"p": p}, 2 * k, probs / probs.sum(), 2.0 / p)
     if family == "poisson-pairs":
@@ -141,7 +155,9 @@ def make_offspring(family, **params):
             raise ConfigError("INVALID_PMF", f"poisson-pairs needs finite lam > 0, got {lam!r}")
         # pmf exp(j log lam - log j! - lam) well into the tail; keep j up to 2
         # past the first j with P(J > j) <= TAIL_MASS
-        j = np.arange(0, int(lam + 12 * np.sqrt(lam)) + 40)
+        top = lam + 12 * float(np.sqrt(lam))
+        _check_table_count(2 * (top + 40))
+        j = np.arange(0, int(top) + 40)
         log_fact = np.concatenate([[0.0], np.cumsum(np.log(j[1:]))])
         probs = np.exp(j * np.log(lam) - log_fact - lam)
         above = np.cumsum(probs[::-1])[::-1][1:]     # above[j] = P(J > j)
@@ -252,6 +268,7 @@ def check_assumption_z(dist, zeta_max=None, y_max=None):
     a bounded table.
     """
     z_top = int(dist.support[-1])
+    _check_table_count(z_top)
     if y_max is None:
         y_max = z_top - 1
     if zeta_max is None:

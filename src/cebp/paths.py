@@ -36,7 +36,6 @@ __all__ = [
     "SimulationConfig",
     "build_path",
     "simulate",
-    "rescale_path",
     "write_path_csv",
     "read_path_csv",
     "ingest_csv",
@@ -95,22 +94,14 @@ class SimulationConfig:
 
 def build_path(tree):
     """Turn one duration-assigned tree (root at level 0) into a SamplePath."""
-    if not tree.has_durations:
+    if tree.leaf_durations is None:
         raise ConfigError("MISSING_DURATIONS", "assign durations before building a path")
     if tree.root_level != 0:
         raise ConfigError("INVALID_CONFIG", f"path construction expects root level 0, got {tree.root_level}")
     m = tree.depth
-    leaf_dur = tree.durations[m]
-    step = 2.0 ** -m
-    times = np.empty(leaf_dur.size + 1)
-    times[0] = 0.0
-    np.cumsum(leaf_dur, out=times[1:])
-    values = np.empty(leaf_dur.size + 1)
-    values[0] = 0.0
-    np.cumsum(tree.orientations[m].astype(np.float64) * step, out=values[1:])
     return SamplePath(
-        times=times,
-        values=values,
+        times=np.concatenate([[0.0], np.cumsum(tree.leaf_durations)]),
+        values=np.concatenate([[0.0], np.cumsum(tree.orientations[m] * 2.0 ** -m)]),
         resolution_level=-m,
         hurst=None,
         mu=None,
@@ -129,7 +120,7 @@ def _one_tree(dist, config, index):
     return assign_durations(
         tree, dist, config.duration_mode,
         substream(config.seed, STREAM_DURATION, index),
-        w_generations=config.w_generations, leaves_only=not config.keep_trees,
+        w_generations=config.w_generations,
     )
 
 
@@ -212,25 +203,6 @@ def window_deviation(path, lo, hi, anchor):
     wmax = np.maximum(np.maximum(kmax, v_lo), v_hi)
     wmin = np.minimum(np.minimum(kmin, v_lo), v_hi)
     return np.maximum(wmax - anchor, anchor - wmin)
-
-
-def rescale_path(path, n):
-    """Apply the discrete scale-invariance map: t -> t/mu^n, x -> x * 2^-n."""
-    if n == 0:
-        return path
-    if path.mu is None:
-        raise ConfigError("INVALID_CONFIG", "rescaling needs the path's mu")
-    meta = dict(path.meta)
-    meta["rescaled_by"] = meta.get("rescaled_by", 0) + n
-    return SamplePath(
-        times=path.times / path.mu ** n,
-        values=path.values * 2.0 ** -n,
-        resolution_level=path.resolution_level - n,
-        hurst=path.hurst,
-        mu=path.mu,
-        origin=path.origin,
-        meta=meta,
-    )
 
 
 def write_xy_csv(csv_file, header, xs, ys):

@@ -8,6 +8,10 @@ holds the generation-g nodes in left-to-right path order as signed bytes
 path builder and the extractors iterate over, and it keeps million-node trees
 in a few flat arrays.
 
+Timing is stored once, as the leaf durations: the leaf crossings laid end to
+end make the path, so they fix every node's duration and start time, and
+``CrossingTree.timing()`` is the one place that derives them.
+
 Subcrossing orientation structure: a parent with Z children gets Z/2 - 1
 excursion pairs, each (+,-) or (-,+) with probability 1/2, followed by one
 direct pair repeating the parent orientation.  That forces the up/down child
@@ -44,11 +48,13 @@ class CrossingTree:
     """Arena-stored crossing tree; generation g lives at level root_level - g."""
 
     root_level: int
-    depth: int
     orientations: list      # per generation: int8 array, +1/-1
     z: list                 # per generation 0..depth-1: int64 children counts
-    durations: list | None = None
-    start_times: list | None = None
+    leaf_durations: np.ndarray | None = None
+
+    @property
+    def depth(self):
+        return len(self.orientations) - 1
 
     @property
     def generation_sizes(self):
@@ -58,13 +64,27 @@ class CrossingTree:
     def n_nodes(self):
         return int(sum(self.generation_sizes))
 
-    @property
-    def has_durations(self):
-        return self.durations is not None
-
     def child_offsets(self, g):
         """Exclusive prefix sums: children of (g, i) are slice [off[i], off[i+1])."""
         return np.concatenate([[0], np.cumsum(self.z[g])])
+
+    def timing(self):
+        """Per-generation (durations, start times), or (None, None) without leaf durations.
+
+        A node lasts as long as its children; it starts where the leaves
+        before its left-most leaf end, so the root starts at 0.
+        """
+        if self.leaf_durations is None:
+            return None, None
+        leaf_cum = np.concatenate([[0.0], np.cumsum(self.leaf_durations)])
+        durations, starts = [self.leaf_durations], [leaf_cum[:-1]]
+        leaf_left = np.arange(self.leaf_durations.size)     # each node's left-most leaf
+        for g in reversed(range(self.depth)):               # bottom-up
+            first_child = self.child_offsets(g)[:-1]
+            durations.append(np.add.reduceat(durations[-1], first_child))
+            leaf_left = leaf_left[first_child]
+            starts.append(leaf_cum[leaf_left])
+        return durations[::-1], starts[::-1]
 
 
 def _expand_generation(orient, z, rng):
@@ -116,28 +136,23 @@ def expand_tree(dist, root_orientation, depth, rng, node_budget=DEFAULT_NODE_BUD
             )
         zs.append(z)
         orientations.append(_expand_generation(parents, z, rng))
-    return CrossingTree(
-        root_level=root_level, depth=depth, orientations=orientations, z=zs,
-    )
+    return CrossingTree(root_level=root_level, orientations=orientations, z=zs)
 
 
-def assign_durations(tree, dist, mode, rng, w_generations=12, leaves_only=False):
-    """Attach durations and start times; returns the same tree, updated.
+def assign_durations(tree, dist, mode, rng, w_generations=12):
+    """Set the leaf durations; returns the same tree, updated.
 
     Leaf durations are mu**(leaf level) in mean mode, or that times an
     independent approximate-W draw in sampled mode (one aggregated chain per
-    leaf, vectorized over the leaf array).  Internal durations are children
-    sums; start times are prefix sums over the leaf order with the root
-    starting at 0.  ``leaves_only`` sets the leaf durations alone and leaves
-    every other entry None: all that ``build_path`` reads.
+    leaf, vectorized over the leaf array).  ``CrossingTree.timing`` derives
+    every other generation's durations and start times from them.
     """
     if mode not in ("mean", "sampled"):
         raise ConfigError("INVALID_CONFIG", f"duration mode must be 'mean' or 'sampled', got {mode!r}")
-    m = tree.depth
-    leaf_scale = float(dist.mu) ** (tree.root_level - m)
-    n_leaves = tree.orientations[m].size
+    leaf_scale = float(dist.mu) ** (tree.root_level - tree.depth)
+    n_leaves = tree.orientations[-1].size
     if mode == "mean":
-        leaf_dur = np.full(n_leaves, leaf_scale, dtype=np.float64)
+        tree.leaf_durations = np.full(n_leaves, leaf_scale, dtype=np.float64)
     else:
         if w_generations < 0:
             raise ConfigError("INVALID_CONFIG", f"w_generations must be >= 0, got {w_generations}")
@@ -145,31 +160,16 @@ def assign_durations(tree, dist, mode, rng, w_generations=12, leaves_only=False)
         counts = np.ones(n_leaves, dtype=np.int64)
         for _ in range(w_generations):
             counts = dist.population_step(rng, counts)
-        leaf_dur = leaf_scale * (counts / float(dist.mu) ** w_generations)
-
-    durations = [None] * (m + 1)
-    starts = [None] * (m + 1)
-    durations[m] = leaf_dur
-    if not leaves_only:
-        leaf_cum = np.concatenate([[0.0], np.cumsum(leaf_dur)])
-        starts[m] = leaf_cum[:-1]
-        # bottom-up: left-most leaf index and duration sums per node
-        leaf_left = np.arange(n_leaves)
-        for g in range(m - 1, -1, -1):
-            off = tree.child_offsets(g)
-            durations[g] = np.add.reduceat(durations[g + 1], off[:-1])
-            leaf_left = leaf_left[off[:-1]]
-            starts[g] = leaf_cum[leaf_left]
-    tree.durations = durations
-    tree.start_times = starts
+        tree.leaf_durations = leaf_scale * (counts / float(dist.mu) ** w_generations)
     return tree
 
 
 def validate_tree(tree):
-    """Check every structural invariant; returns None or the first violation."""
+    """Check every structural invariant; returns None or the first violation.
+
+    Leaf start times must strictly increase, so only the last leaf may last 0.
+    """
     m = tree.depth
-    if len(tree.orientations) != m + 1:
-        return f"expected {m + 1} generations, found {len(tree.orientations)}"
     if tree.orientations[0].size != 1:
         return "root generation must hold exactly one node"
     if len(tree.z) != m:
@@ -200,33 +200,15 @@ def validate_tree(tree):
                 and np.all(second[direct] == parent_of_pair[direct])):
             return f"generation {g}: a direct pair does not match its parent"
         # up/down child counts must differ by exactly 2 toward the parent
-        off = np.concatenate([[0], np.cumsum(z)])
-        net = np.add.reduceat(kids.astype(np.int64), off[:-1])
+        net = np.add.reduceat(kids.astype(np.int64), tree.child_offsets(g)[:-1])
         if not np.all(net == 2 * o):
             return f"generation {g}: child orientation sums violate Z+/Z- = Z/2 +- 1"
-    if tree.has_durations:
-        for g in range(m + 1):
-            d, s = tree.durations[g], tree.start_times[g]
-            if d.size != tree.orientations[g].size or s.size != d.size:
-                return f"generation {g}: duration/start arrays sized wrong"
-            if np.any(d < 0):
-                return f"generation {g}: negative duration"
-        if abs(float(tree.start_times[0][0])) > 1e-12:
-            return "root start time must be 0"
-        root_dur = float(tree.durations[0][0])
-        for g in range(m):
-            off = tree.child_offsets(g)
-            sums = np.add.reduceat(tree.durations[g + 1], off[:-1])
-            err = np.abs(tree.durations[g] - sums)
-            if np.any(err > 1e-12 * np.maximum(tree.durations[g], 1e-300)):
-                return f"generation {g}: duration not additive over children"
-            if abs(tree.durations[g].sum() - root_dur) > 1e-9 * max(root_dur, 1e-300):
-                return f"generation {g}: durations do not partition the root duration"
-            starts = tree.start_times[g + 1]
-            ends = starts + tree.durations[g + 1]
-            if np.any(np.abs(starts[1:] - ends[:-1]) > 1e-9 * max(root_dur, 1e-300)):
-                return f"generation {g + 1}: sibling crossings not contiguous in time"
-        leaf_starts = tree.start_times[m]
-        if leaf_starts.size > 1 and np.any(np.diff(leaf_starts) <= 0):
-            return "leaf start times must be strictly increasing"
+    d = tree.leaf_durations
+    if d is not None:
+        if d.size != tree.orientations[m].size:
+            return f"{d.size} leaf durations for {tree.orientations[m].size} leaves"
+        if np.any(d < 0):
+            return "negative leaf duration"
+        if np.any(d[:-1] == 0):
+            return "only the last leaf duration may be 0"
     return None

@@ -1,15 +1,18 @@
 """Crossing-tree serialization: NDJSON, one node per line.
 
-Records carry (id, parent_id, level, position, orientation, z) plus duration
-and start_time when assigned.  Node ids run generation-major (root first, then
-generation 1 left to right, and so on), which makes the files diffable and
-lets the reader rebuild the arena without a link-resolution pass; the reader
-checks each field's JSON type, each tree with ``validate_tree``, and every id
-and parent_id against that layout.  Floats go through Python's shortest
-round-trip repr, so write/read is exact.  Lines
-keep the ``json.dumps`` layout (keys in the order above, then ``tree`` in
-multi-tree files), formatted a generation's columns at a time; the sha256
-pins in ``tests/test_artifact_oracle.py`` hold those bytes fixed.
+Records carry (id, parent_id, level, position, orientation, z) plus, from
+``CrossingTree.timing()``, duration and start_time when the tree has leaf
+durations.  Node ids run generation-major (root first, then generation 1 left
+to right, and so on), which makes the files diffable and lets the reader
+rebuild the arena without a link-resolution pass; the reader checks each
+field's JSON type, each tree with ``validate_tree``, every id and parent_id
+against that layout, and every duration and start_time against what
+``timing()`` derives from the leaf durations, bit for bit.  Floats go through
+Python's shortest round-trip repr, so a file ``write_trees`` wrote reads back
+and writes out again byte for byte.  Lines keep the ``json.dumps`` layout
+(keys in the order above, then ``tree`` in multi-tree files), formatted a
+generation's columns at a time; the sha256 pins in
+``tests/test_artifact_oracle.py`` hold those bytes fixed.
 """
 
 import itertools
@@ -29,6 +32,7 @@ __all__ = [
 def _tree_lines(tree, tree_index=None):
     """The tree's NDJSON lines, formatted a generation's columns at a time."""
     tail = "" if tree_index is None else f', "tree": {tree_index}'
+    durations, starts = tree.timing()
     first_id = 0
     for g in range(tree.depth + 1):
         n = tree.orientations[g].size
@@ -39,9 +43,9 @@ def _tree_lines(tree, tree_index=None):
                                 tree.z[g - 1]).tolist()
         zs = tree.z[g].tolist() if g < tree.depth else itertools.repeat(0, n)
         timing = itertools.repeat("", n)
-        if tree.has_durations:
+        if durations is not None:
             timing = (f', "duration": {d!r}, "start_time": {s!r}'
-                      for d, s in zip(tree.durations[g].tolist(), tree.start_times[g].tolist()))
+                      for d, s in zip(durations[g].tolist(), starts[g].tolist()))
         yield from (f'{{"id": {i}, "parent_id": {p}, "level": {level}, "position": {j}, '
                     f'"orientation": "{o}", "z": {z}{t}{tail}}}\n'
                     for i, p, j, o, z, t in zip(
@@ -74,7 +78,7 @@ def _build_tree(rows):
     for rec, line_no in rows:
         by_level.setdefault(root_level - rec["level"], []).append((rec, line_no))
     depth = max(by_level)
-    ordered, orientations, zs, durs, starts = [], [], [], [], []
+    ordered, orientations, zs = [], [], []
     with_durations = "duration" in rows[0][0]
     for g in range(depth + 1):
         if g not in by_level:
@@ -91,16 +95,13 @@ def _build_tree(rows):
         ))
         if g < depth or any(rec["z"] for rec, _ in recs):
             zs.append(np.array([rec["z"] for rec, _ in recs], dtype=np.int64))
-        if with_durations:
-            durs.append(np.array([rec["duration"] for rec, _ in recs], dtype=np.float64))
-            starts.append(np.array([rec["start_time"] for rec, _ in recs], dtype=np.float64))
     if len(zs) == depth + 1:        # leaves carried nonzero z
         raise _malformed(rows[-1][1], "leaf records must have z = 0")
-    tree = CrossingTree(
-        root_level=root_level, depth=depth, orientations=orientations, z=zs,
-        durations=durs if with_durations else None,
-        start_times=starts if with_durations else None,
-    )
+    if with_durations:
+        stored = np.array([[rec[key] for rec, _ in ordered] for key in ("duration", "start_time")],
+                          dtype=np.float64)
+    tree = CrossingTree(root_level=root_level, orientations=orientations, z=zs,
+                        leaf_durations=stored[0, -orientations[-1].size:] if with_durations else None)
     why = validate_tree(tree)
     if why is not None:
         raise _malformed(rows[-1][1], why)
@@ -114,6 +115,14 @@ def _build_tree(rows):
         k = int(bad[0])
         raise _malformed(ordered[k][1], f"id {ids[k]!r} with parent_id {parents[k]!r} breaks "
                          f"the generation-major layout (want id {k}, parent_id {want_parents[k]!r})")
+    if with_durations:
+        # every stored duration and start time must be, bit for bit, what the leaves give
+        want = np.array([np.concatenate(column) for column in tree.timing()])
+        bad = np.flatnonzero(np.any(stored.view(np.int64) != want.view(np.int64), axis=0))
+        if bad.size:
+            k = int(bad[0])
+            raise _malformed(ordered[k][1], f"duration and start_time {stored[:, k].tolist()} are "
+                             f"not the leaf-duration sums {want[:, k].tolist()}")
     return tree
 
 

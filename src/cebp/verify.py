@@ -34,12 +34,13 @@ from .branching import WEnsemble, check_depth, sample_w_range
 from .errors import ConfigError
 from .extract import duration_scale_invariance, extract_crossing_forest
 from .increments import (
+    INCREMENT_HORIZON,
     increment_records,
     increment_tail,
     remaining_time_records,
     remaining_time_tail,
 )
-from .modulus import band_stability, modulus_ratio
+from .modulus import BAND_TOL, MAX_BAND_RATIO, band_stability, modulus_ratio
 from .offspring import check_assumption_gw, check_assumption_z, make_offspring
 from .paths import SimulationConfig, path_records, simulate
 from .rng import STREAM_MODULUS, STREAM_PATH, map_blocks
@@ -59,6 +60,14 @@ __all__ = [
 GEOM_HALF = {"family": "geometric-pairs", "p": 0.5}     # mu 4, H 1/2
 GEOM_THIRD = {"family": "geometric-pairs", "p": 0.25}   # mu 8, H 1/3
 
+# Pass thresholds of the w-tail and scale-invariance suites; each report
+# records them in its config.
+W_TAIL_REL_TOL = 0.15
+W_TAIL_R2_MIN = 0.97
+SCALE_KS_MAX = 0.03
+SCALE_CONTROL_FACTOR = 2.0
+SCALE_CONTROL_MIN = 0.1
+
 
 def _family_label(spec):
     params = ", ".join(f"{k}={v}" for k, v in spec.items() if k != "family")
@@ -69,7 +78,7 @@ def _family_label(spec):
 # w-tail
 
 def verify_w_tail(families=None, generations=12, n_samples=1_000_000,
-                  seed=0, rel_tol=0.15, r2_min=0.97, workers=1):
+                  seed=0, workers=1):
     """Left-tail exponent of W for each family; target -H/(1-H)."""
     if families is None:
         families = [GEOM_HALF, GEOM_THIRD]
@@ -85,7 +94,7 @@ def verify_w_tail(families=None, generations=12, n_samples=1_000_000,
         ))
         ensemble = WEnsemble(samples=samples, source=dist)
         fit = w_left_tail_fit(ensemble)
-        ok = fit.relative_error <= rel_tol and fit.r_squared >= r2_min
+        ok = fit.relative_error <= W_TAIL_REL_TOL and fit.r_squared >= W_TAIL_R2_MIN
         results.append({
             "family": _family_label(spec),
             "hurst": dist.hurst,
@@ -99,7 +108,7 @@ def verify_w_tail(families=None, generations=12, n_samples=1_000_000,
     return {
         "suite": "w-tail",
         "config": {"generations": generations, "n_samples": n_samples,
-                   "seed": seed, "rel_tol": rel_tol, "r2_min": r2_min},
+                   "seed": seed, "rel_tol": W_TAIL_REL_TOL, "r2_min": W_TAIL_R2_MIN},
         "families": results,
         "pass": bool(all(r["pass"] for r in results)),
     }
@@ -109,12 +118,12 @@ def verify_w_tail(families=None, generations=12, n_samples=1_000_000,
 # increments
 
 def verify_increments(family=None, t=0.045, n_records=100_000, depth=7,
-                      horizon=1.0, seed=0, tol=0.15, workers=1):
+                      seed=0, tol=0.15, workers=1):
     """Sup-increment tail exponent (target 1) plus the plain/sup sandwich."""
     spec = GEOM_HALF if family is None else family
     records = increment_records(
         spec, t=t, n_records=n_records, master_seed=seed,
-        depth=depth, horizon=horizon, workers=workers,
+        depth=depth, workers=workers,
     )
     fit = increment_tail(records)
     ok = fit.relative_error <= tol and fit.sandwich_violations == 0
@@ -122,7 +131,7 @@ def verify_increments(family=None, t=0.045, n_records=100_000, depth=7,
         "suite": "increments",
         "config": {"family": _family_label(spec), "t": t,
                    "n_records": n_records, "depth": depth,
-                   "horizon": horizon, "seed": seed, "tol": tol},
+                   "horizon": INCREMENT_HORIZON, "seed": seed, "tol": tol},
         "slope": fit.slope,
         "target": fit.target_exponent,
         "relative_error": fit.relative_error,
@@ -184,16 +193,15 @@ def _modulus_record(l_range, path, i):
     return modulus_ratio(path, l_range).ratios
 
 
-def verify_modulus(specs=MODULUS_SPECS, n_seeds=50, l_range=(4, 12), seed=0,
-                   max_band_ratio=10.0, band_tol=0.25, workers=1):
+def verify_modulus(specs=MODULUS_SPECS, n_seeds=50, l_range=(4, 12), seed=0, workers=1):
     """Band stability of R(delta_l) over dyadic block widths, per family.
 
     R(delta_l) is the seed-ensemble mean of the normalized block-chaining
     sup at level l; averaging is what the seed ensemble is for, since a
     single path offers only span/delta blocks at coarse l and its sup is
     noisy there.  Every R(delta_l) must lie in a band [a, b] with
-    b <= max_band_ratio * a, and the band endpoints from the lower and
-    upper halves of the level range must agree within ``band_tol``.
+    b <= MAX_BAND_RATIO * a, and the band endpoints from the lower and
+    upper halves of the level range must agree within BAND_TOL.
     The pooled per-seed extremes are reported as diagnostics.
     """
     l_lo, l_hi = int(l_range[0]), int(l_range[1])
@@ -214,9 +222,7 @@ def verify_modulus(specs=MODULUS_SPECS, n_seeds=50, l_range=(4, 12), seed=0,
             partial(_modulus_record, (l_lo, l_hi)), workers,
         ))
         per_level = ratios.mean(axis=0)
-        a, b, _, halves, ok = band_stability(
-            range(l_lo, l_hi + 1), per_level, band_tol, max_band_ratio,
-        )
+        a, b, _, halves, ok = band_stability(range(l_lo, l_hi + 1), per_level)
         results.append({
             "family": _family_label(spec["family"]),
             "hurst": dist.hurst,
@@ -232,7 +238,7 @@ def verify_modulus(specs=MODULUS_SPECS, n_seeds=50, l_range=(4, 12), seed=0,
     return {
         "suite": "modulus",
         "config": {"n_seeds": n_seeds, "l_range": [l_lo, l_hi], "seed": seed,
-                   "max_band_ratio": max_band_ratio, "band_tol": band_tol},
+                   "max_band_ratio": MAX_BAND_RATIO, "band_tol": BAND_TOL},
         "families": results,
         "pass": bool(all(r["pass"] for r in results)),
     }
@@ -242,13 +248,12 @@ def verify_modulus(specs=MODULUS_SPECS, n_seeds=50, l_range=(4, 12), seed=0,
 # duration scale invariance
 
 def verify_scale_invariance(family=None, depth=9, levels=(-8, -7),
-                            min_crossings=10_000, seed=0, ks_max=0.03,
-                            control_factor=2.0, control_min=0.1, workers=1):
+                            min_crossings=10_000, seed=0, workers=1):
     """Adjacent-level duration KS under the true mu, with a wrong-mu control.
 
-    The control rescales with control_factor * mu; detection means its KS
-    distance clears ``control_min`` while the true-mu distances stay under
-    ``ks_max``.
+    The control rescales with SCALE_CONTROL_FACTOR * mu; detection means its
+    KS distance clears SCALE_CONTROL_MIN while the true-mu distances stay
+    under SCALE_KS_MAX.
     """
     spec = GEOM_HALF if family is None else family
     dist = make_offspring(**spec)
@@ -263,20 +268,20 @@ def verify_scale_invariance(family=None, depth=9, levels=(-8, -7),
     forest = extract_crossing_forest(path, (int(levels[0]), int(levels[1])))
     report = duration_scale_invariance(forest, mu=dist.mu,
                                        min_crossings=min_crossings)
-    control = duration_scale_invariance(forest, mu=control_factor * dist.mu,
+    control = duration_scale_invariance(forest, mu=SCALE_CONTROL_FACTOR * dist.mu,
                                         min_crossings=min_crossings)
-    ok = report["max_ks"] < ks_max and control["max_ks"] > control_min
+    ok = report["max_ks"] < SCALE_KS_MAX and control["max_ks"] > SCALE_CONTROL_MIN
     return {
         "suite": "scale-invariance",
         "config": {"family": _family_label(spec), "depth": depth,
                    "levels": [int(levels[0]), int(levels[1])],
                    "min_crossings": min_crossings, "seed": seed,
-                   "ks_max": ks_max, "control_factor": control_factor,
-                   "control_min": control_min},
+                   "ks_max": SCALE_KS_MAX, "control_factor": SCALE_CONTROL_FACTOR,
+                   "control_min": SCALE_CONTROL_MIN},
         "mu": dist.mu,
         "max_ks": report["max_ks"],
         "pairs": report["pairs"],
-        "control_mu": control_factor * dist.mu,
+        "control_mu": SCALE_CONTROL_FACTOR * dist.mu,
         "control_ks": control["max_ks"],
         "pass": bool(ok),
     }

@@ -298,6 +298,14 @@ def test_sampled_durations_past_overflow_guard_are_budget_errors(tmp_path, monke
     assert code == 3
 
 
+@pytest.mark.parametrize("params", [("--family", "poisson-pairs", "--lambda", "1e300"),
+                                    ("--family", "geometric-pairs", "--p", "1e-15")])
+def test_check_dist_table_past_the_budget_is_budget_error(tmp_path, monkeypatch, params):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("check-dist", *params, "--out", "chk.json") == 3
+    assert not (tmp_path / "chk.json").exists()
+
+
 def test_verify_zero_counts_are_usage_errors(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli("verify", "w-tail", "--samples", "0", "--out", "w.json") == 2

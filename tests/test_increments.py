@@ -55,7 +55,7 @@ def test_increment_tail_fit_smoke():
 
 def test_increment_bad_t_rejected():
     with pytest.raises(ConfigError):
-        increment_records(GEOM, t=0.95, n_records=5, master_seed=0, horizon=1.0)
+        increment_records(GEOM, t=0.95, n_records=5, master_seed=0)
     with pytest.raises(ConfigError):
         increment_records(GEOM, t=0.0, n_records=5, master_seed=0)
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cebp.errors import ConfigError
+from cebp.errors import BudgetError, ConfigError
 from cebp.offspring import (
+    MAX_TABLE_COUNT,
     check_assumption_gw,
     check_assumption_z,
     make_offspring,
@@ -46,6 +47,23 @@ def test_poisson_pairs_needs_finite_positive_lambda(lam):
     with pytest.raises(ConfigError) as err:
         make_offspring("poisson-pairs", lam=lam)
     assert err.value.code == "INVALID_PMF"
+
+
+@pytest.mark.parametrize("family, params", [
+    ("geometric-pairs", {"p": 1e-15}), ("geometric-pairs", {"p": 5e-324}),
+    ("poisson-pairs", {"lam": 1e300}), ("poisson-pairs", {"lam": 1.7e308}),
+])
+def test_table_past_the_budget_refused_before_it_is_built(family, params):
+    with pytest.raises(BudgetError) as err:
+        make_offspring(family, **params)
+    assert err.value.code == "TABLE_BUDGET_EXCEEDED"
+
+
+@pytest.mark.parametrize("family, params", [
+    ("geometric-pairs", {"p": 0.0017}), ("poisson-pairs", {"lam": 14000.0}),
+])
+def test_table_under_the_budget_builds(family, params):
+    assert make_offspring(family, **params).support[-1] <= MAX_TABLE_COUNT
 
 
 def test_fixed_pairs_subcritical_rejected():
@@ -173,6 +191,14 @@ def test_dominance_bounded_fallback():
         if res.zeta < z_top - 2:
             again = check_assumption_z(dist, zeta_max=res.zeta + 1)
             assert again.zeta == res.zeta
+
+
+def test_dominance_scan_past_the_budget_refused():
+    # the scan would first allocate arrays over 0..z_top, then take z_top^2 steps
+    dist = make_offspring("custom", pmf={MAX_TABLE_COUNT + 2: 1.0})
+    with pytest.raises(BudgetError) as err:
+        check_assumption_z(dist)
+    assert err.value.code == "TABLE_BUDGET_EXCEEDED"
 
 
 def test_dominance_violation_reported():

@@ -9,7 +9,6 @@ from cebp.paths import (
     build_path,
     ingest_csv,
     read_path_csv,
-    rescale_path,
     simulate,
     write_path_csv,
 )
@@ -89,6 +88,14 @@ def test_dropping_trees_leaves_the_path_unchanged(mode, root_mode):
     assert dropped.trees is None
 
 
+@pytest.mark.parametrize("mode", ["mean", "sampled"])
+def test_kept_tree_leaf_start_times_are_the_knot_times(mode):
+    path = simulate(SimulationConfig(offspring={"family": "geometric-pairs", "p": 0.5}, depth=6,
+                                     duration_mode=mode, seed=13))
+    (tree,) = path.trees
+    assert np.array_equal(tree.timing()[1][-1], path.times[:-1])
+
+
 def test_tile_mode_fixed_pairs_exact_horizon():
     dist = make_offspring("fixed-pairs", b=2)
     cfg = SimulationConfig(offspring=dist, depth=3, root_mode="tile",
@@ -127,16 +134,6 @@ def test_budget_propagates():
         simulate(cfg)
 
 
-def test_rescale_identity_and_scaling():
-    path = simulate(SimulationConfig(offspring={"family": "fixed-pairs", "b": 2},
-                                     depth=3, seed=1))
-    assert rescale_path(path, 0) is path
-    scaled = rescale_path(path, 1)
-    assert np.allclose(scaled.times, path.times / 4.0)
-    assert np.allclose(scaled.values, path.values / 2.0)
-    assert scaled.resolution_level == path.resolution_level - 1
-
-
 def test_rescale_distributional_invariance():
     # |X(D_root)| is 1 for originals; rescaled paths end at 2^-n: compare the
     # whole-path law instead through the midpoint value distribution
@@ -148,8 +145,9 @@ def test_rescale_distributional_invariance():
         mids.append(np.interp(path.span / 2.0, path.times, path.values))
         deeper = simulate(SimulationConfig(offspring=dist, depth=6, seed=(8, seed),
                                            keep_trees=False))
-        scaled = rescale_path(deeper, 1)
-        mids_scaled.append(2.0 * np.interp(scaled.span / 2.0, scaled.times, scaled.values))
+        # the scale-invariance map t -> t/mu, x -> x/2 takes depth 6 to depth 5
+        times, values = deeper.times / deeper.mu, deeper.values * 0.5
+        mids_scaled.append(2.0 * np.interp(times[-1] / 2.0, times, values))
     ks = stats.ks_2samp(mids, mids_scaled)
     assert ks.pvalue > 1e-3
 

@@ -104,9 +104,10 @@ def test_mean_durations_fixed_pairs():
     dist = make_offspring("fixed-pairs", b=2)
     tree = expand_tree(dist, UP, 3, np.random.default_rng(8))
     assign_durations(tree, dist, "mean", np.random.default_rng(9))
-    assert np.all(tree.durations[3] == 4.0 ** -3)
-    assert tree.durations[0][0] == pytest.approx(1.0, abs=1e-12)
-    assert tree.start_times[0][0] == 0.0
+    durations, starts = tree.timing()
+    assert np.all(tree.leaf_durations == 4.0 ** -3)
+    assert durations[0][0] == pytest.approx(1.0, abs=1e-12)
+    assert starts[0][0] == 0.0
     assert validate_tree(tree) is None
 
 
@@ -116,7 +117,7 @@ def test_mean_root_duration_is_w_sample():
     for seed in range(400):
         tree = expand_tree(dist, UP, 6, np.random.default_rng((10, seed)))
         assign_durations(tree, dist, "mean", np.random.default_rng(0))
-        roots.append(tree.durations[0][0])
+        roots.append(tree.timing()[0][0][0])
         # root duration equals the generation population over mu^m
         assert roots[-1] == pytest.approx(
             tree.generation_sizes[-1] / dist.mu ** 6, rel=1e-12
@@ -129,7 +130,7 @@ def test_sampled_durations_validate():
     tree = expand_tree(dist, DOWN, 5, np.random.default_rng(11))
     assign_durations(tree, dist, "sampled", np.random.default_rng(12), w_generations=6)
     assert validate_tree(tree) is None
-    leaves = tree.durations[5]
+    leaves = tree.leaf_durations
     assert np.all(leaves > 0)
     # sampled leaves vary, mean-mode leaves do not
     assert leaves.std() > 0
@@ -143,7 +144,7 @@ def test_sampled_durations_refuse_negative_w_generations():
     assert err.value.code == "INVALID_CONFIG"
     # zero generations is valid: every leaf gets its mean duration
     assign_durations(tree, dist, "sampled", np.random.default_rng(12), w_generations=0)
-    assert np.all(tree.durations[3] == dist.mu ** -3)
+    assert np.all(tree.leaf_durations == dist.mu ** -3)
 
 
 def test_sampled_matches_deeper_mean_mode_root_law():
@@ -157,10 +158,10 @@ def test_sampled_matches_deeper_mean_mode_root_law():
     for seed in range(reps):
         t1 = expand_tree(dist, UP, m, np.random.default_rng((13, seed)))
         assign_durations(t1, dist, "sampled", np.random.default_rng((14, seed)), w_generations=k)
-        sampled.append(t1.durations[0][0])
+        sampled.append(t1.timing()[0][0][0])
         t2 = expand_tree(dist, UP, m + k, np.random.default_rng((15, seed)))
         assign_durations(t2, dist, "mean", np.random.default_rng(0))
-        mean_deep.append(t2.durations[0][0])
+        mean_deep.append(t2.timing()[0][0][0])
     ks = stats.ks_2samp(sampled, mean_deep)
     assert ks.statistic < 0.04
 
@@ -176,8 +177,9 @@ def test_child_offsets_address_the_arena():
     # node (2, 9) sits under node (1, 2), which sits under the root
     assert np.searchsorted(off, 9, side="right") - 1 == 2
     assert np.searchsorted(root_off, 2, side="right") - 1 == 0
-    assert tree.start_times[1][2] == pytest.approx(2 * 0.25)
-    assert tree.start_times[2][off[2]] == tree.start_times[1][2]
+    starts = tree.timing()[1]
+    assert starts[1][2] == pytest.approx(2 * 0.25)
+    assert starts[2][off[2]] == starts[1][2]
 
 
 def test_validator_catches_corruption():
@@ -186,3 +188,33 @@ def test_validator_catches_corruption():
     tree.orientations[1] = tree.orientations[1].copy()
     tree.orientations[1][0] = -tree.orientations[1][0]
     assert validate_tree(tree) is not None
+
+
+def test_timing_sums_the_leaf_durations():
+    dist = make_offspring("fixed-pairs", b=2)
+    tree = expand_tree(dist, UP, 2, np.random.default_rng(18))
+    tree.leaf_durations = np.arange(1.0, 17.0)      # integers: every sum is exact
+    durations, starts = tree.timing()
+    assert durations[0].tolist() == [136.0]
+    assert durations[1].tolist() == [10.0, 26.0, 42.0, 58.0]
+    assert starts[0].tolist() == [0.0]
+    assert starts[1].tolist() == [0.0, 10.0, 36.0, 78.0]
+    assert starts[2].tolist() == np.concatenate([[0.0], np.cumsum(np.arange(1.0, 16.0))]).tolist()
+    assert durations[2].tolist() == tree.leaf_durations.tolist()
+
+
+def test_timing_without_leaf_durations_is_none():
+    tree = expand_tree(make_offspring("fixed-pairs", b=2), UP, 1, np.random.default_rng(19))
+    assert tree.timing() == (None, None)
+
+
+@pytest.mark.parametrize("leaves, why", [
+    ([0.25] * 3, "3 leaf durations for 4 leaves"),
+    ([0.25, -0.25, 0.5, 0.5], "negative leaf duration"),
+    ([0.25, 0.0, 0.25, 0.5], "only the last leaf duration may be 0"),
+    ([0.25, 0.25, 0.5, 0.0], None),
+])
+def test_validator_checks_the_leaf_durations(leaves, why):
+    tree = expand_tree(make_offspring("fixed-pairs", b=2), UP, 1, np.random.default_rng(20))
+    tree.leaf_durations = np.array(leaves)
+    assert validate_tree(tree) == why

@@ -19,15 +19,9 @@ def trees_equal(a, b):
     for g in range(a.depth):
         if not np.array_equal(a.z[g], b.z[g]):
             return False
-    if a.has_durations != b.has_durations:
+    if (a.leaf_durations is None) != (b.leaf_durations is None):
         return False
-    if a.has_durations:
-        for g in range(a.depth + 1):
-            if not np.array_equal(a.durations[g], b.durations[g]):
-                return False
-            if not np.array_equal(a.start_times[g], b.start_times[g]):
-                return False
-    return True
+    return a.leaf_durations is None or np.array_equal(a.leaf_durations, b.leaf_durations)
 
 
 def round_trip(tree, tmp_path):
@@ -73,7 +67,21 @@ def test_round_trip_preserves_duration_absence(tmp_path):
     first_line = tree_text(tree, tmp_path).splitlines()[0]
     assert "duration" not in json.loads(first_line)
     back = round_trip(tree, tmp_path)
-    assert not back.has_durations
+    assert back.leaf_durations is None
+
+
+@pytest.mark.parametrize("line, key", [(0, "duration"), (9, "start_time")])
+def test_internal_timing_one_ulp_off_the_leaves_rejected(tmp_path, line, key):
+    lines = tree_text(sampled_tree(4), tmp_path).splitlines()
+    rec = json.loads(lines[line])
+    assert rec["z"] > 0 and rec[key] > 0
+    rec[key] = float(np.nextafter(rec[key], np.inf))
+    lines[line] = json.dumps(rec)
+    with pytest.raises(ConfigError) as err:
+        read_text("\n".join(lines), tmp_path)
+    assert err.value.code == "MALFORMED_RECORD"
+    assert f"line {line + 1}:" in str(err.value)
+    assert "leaf-duration sums" in str(err.value)
 
 
 def test_empty_stream_rejected(tmp_path):
@@ -155,6 +163,7 @@ def test_single_tree_file_omits_tree_field(tmp_path):
 def reference_lines(trees):
     """The NDJSON lines of ``trees``, one ``json.dumps`` call per node."""
     for index, tree in enumerate(trees):
+        durations, starts = tree.timing()
         gen_start = np.concatenate([[0], np.cumsum(tree.generation_sizes)])
         for g in range(tree.depth + 1):
             orient = tree.orientations[g]
@@ -170,9 +179,9 @@ def reference_lines(trees):
                     "orientation": "+" if orient[i] > 0 else "-",
                     "z": int(tree.z[g][i]) if g < tree.depth else 0,
                 }
-                if tree.has_durations:
-                    rec["duration"] = float(tree.durations[g][i])
-                    rec["start_time"] = float(tree.start_times[g][i])
+                if durations is not None:
+                    rec["duration"] = float(durations[g][i])
+                    rec["start_time"] = float(starts[g][i])
                 if len(trees) > 1:
                     rec["tree"] = index
                 yield json.dumps(rec) + "\n"
