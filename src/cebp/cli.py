@@ -76,7 +76,7 @@ def _family_spec(args, required=True):
                 raise ConfigError("INVALID_PMF", f"cannot parse --pmf: {exc}") from exc
         try:
             spec["pmf"] = {int(k): float(v) for k, v in table.items()}
-        except (ValueError, AttributeError) as exc:
+        except (ValueError, AttributeError, TypeError) as exc:
             raise ConfigError("INVALID_PMF", f"cannot parse --pmf: {exc}") from exc
     return spec
 

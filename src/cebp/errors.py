@@ -34,6 +34,10 @@ class CebpError(Exception):
     def __str__(self):
         return f"{self.code}: {super().__str__()}"
 
+    def __reduce__(self):
+        # a worker process sends its error back pickled, code and all
+        return type(self), (self.code, *self.args)
+
 
 class ConfigError(CebpError):
     """Invalid parameters, malformed specs, or violated preconditions."""

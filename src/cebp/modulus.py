@@ -132,8 +132,9 @@ def modulus_ratio(path, l_range, hurst=None):
     (relative) between the lower and upper halves of the level range.
     """
     lo, hi = int(l_range[0]), int(l_range[1])
-    if lo > hi:
-        raise ConfigError("INVALID_CONFIG", f"level range [{lo}, {hi}] is empty")
+    if not 1 <= lo <= hi:
+        # the gauge is 0 at level 0, where delta = 1 and ln delta = 0
+        raise ConfigError("INVALID_CONFIG", f"level range [{lo}, {hi}] needs 1 <= lo <= hi")
     if hurst is None:
         hurst = path.hurst
     if hurst is None:

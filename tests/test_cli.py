@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface and its exit codes."""
 
 import json
+import pickle
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from cebp.cli import main
+from cebp.errors import AnalysisError, BudgetError, CebpError, ConfigError
 from cebp.extract import extract_crossing_forest
 from cebp.paths import read_path_csv
 
@@ -219,9 +221,41 @@ def test_check_dist_flags_zero_shift_violation(tmp_path, monkeypatch):
     assert report["dominance"]["violations"]
 
 
-def test_check_dist_bad_pmf_is_config_error(tmp_path, monkeypatch):
+@pytest.mark.parametrize("pmf", [
+    "not-json", '{"2": null}', '{"2": [1]}', '{"2": "nan", "4": 1}',
+])
+def test_check_dist_bad_pmf_is_config_error(tmp_path, monkeypatch, pmf):
     monkeypatch.chdir(tmp_path)
-    assert run_cli("check-dist", "--family", "custom", "--pmf", "not-json") == 2
+    assert run_cli("check-dist", "--family", "custom", "--pmf", pmf) == 2
+
+
+def test_simulate_nan_pmf_is_config_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("simulate", "--family", "custom", "--pmf", '{"2": "nan", "4": 1}',
+                   "--depth", "3", "--out", "run") == 2
+
+
+@pytest.mark.parametrize("cls", [CebpError, ConfigError, BudgetError, AnalysisError])
+def test_errors_survive_pickling(cls):
+    # worker processes send their errors back pickled
+    back = pickle.loads(pickle.dumps(cls("SOME_CODE", "what went wrong")))
+    assert type(back) is cls
+    assert (back.code, back.args, str(back)) == \
+           ("SOME_CODE", ("what went wrong",), "SOME_CODE: what went wrong")
+
+
+def test_worker_budget_error_keeps_its_exit_code(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = run_cli("verify", "increments", "--records", "8", "--depth", "14",
+                   "--workers", "2", "--out", "inc.json")
+    assert code == 3
+
+
+def test_modulus_level_zero_is_config_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = run_cli("verify", "modulus", "--H", "0.5", "--seeds", "3",
+                   "--l-range", "0:4", "--out", "mod.json")
+    assert code == 2
 
 
 def test_ingest_normalizes_external_csv(tmp_path, monkeypatch):

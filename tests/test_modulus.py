@@ -81,6 +81,15 @@ def test_ratio_requires_hurst():
         modulus_ratio(ramp, (4, 2), hurst=0.5)
 
 
+@pytest.mark.parametrize("l_range", [(0, 4), (-1, 2)])
+def test_ratio_levels_start_at_one(l_range):
+    # the gauge is 0 at level 0 (delta = 1), so the ratio there would be inf
+    ramp = _path([0.0, 4.0], [0.0, 4.0])
+    with pytest.raises(ConfigError) as err:
+        modulus_ratio(ramp, l_range, hurst=0.5)
+    assert err.value.code == "INVALID_CONFIG"
+
+
 def test_simulated_path_band():
     cfg = SimulationConfig(
         offspring={"family": "geometric-pairs", "p": 0.5},

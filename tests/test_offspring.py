@@ -5,6 +5,7 @@ from scipy import stats
 from cebp.errors import BudgetError, ConfigError
 from cebp.offspring import (
     MAX_TABLE_COUNT,
+    DominanceCheckResult,
     check_assumption_gw,
     check_assumption_z,
     make_offspring,
@@ -86,6 +87,8 @@ def test_fixed_pairs_ok():
         {3: 1.0},                 # odd support
         {0: 0.5, 2: 0.5},         # entry < 2
         {2: 0.4, 4: 0.4},         # mass != 1
+        {2: float("nan"), 4: 1.0},
+        {2: float("inf"), 4: 1.0},
     ],
 )
 def test_invalid_custom_tables(table):
@@ -210,3 +213,94 @@ def test_dominance_violation_reported():
     # and a large enough offset rescues it
     res = check_assumption_z(dist)
     assert res.zeta is not None and res.zeta > 0
+
+
+def reference_check_assumption_z(dist, zeta_max=None, y_max=None):
+    """The zeta-by-zeta scan check_assumption_z replaced, kept as its reference: z_top^3 time."""
+    z_top = int(dist.support[-1])
+    if y_max is None:
+        y_max = z_top - 1
+    if zeta_max is None:
+        zeta_max = z_top - 2
+    if y_max < 1 or zeta_max < 0:
+        raise ConfigError("INVALID_CONFIG", "need y_max >= 1 and zeta_max >= 0")
+
+    # survival S[t] = P(Z > t) for t = 0 .. z_top
+    pmf = np.zeros(z_top + 1)
+    pmf[dist.support] = dist.probs
+    S = np.concatenate([1.0 - np.cumsum(pmf), [0.0]])[: z_top + 1]
+
+    def surv(t):
+        t = np.asarray(t)
+        out = np.ones(t.shape, dtype=np.float64)
+        out[t >= z_top] = 0.0
+        mid = (t >= 0) & (t < z_top)
+        out[mid] = S[t[mid]]
+        return out
+
+    zs = np.arange(0, z_top + 1)
+    ys = [y for y in range(0, y_max + 1) if surv(np.array([y]))[0] > 0]
+    failures_at_max = []
+    for zeta in range(0, zeta_max + 1):
+        rhs = surv(zs - zeta)
+        bad = []
+        for y in ys:
+            lhs = surv(zs + y) / surv(np.array([y]))[0]
+            viol = np.nonzero(lhs > rhs + 1e-12)[0]
+            bad.extend((y, int(zs[i])) for i in viol)
+        if not bad:
+            return DominanceCheckResult(
+                zeta=zeta, checked_y_range=(0, y_max), violations=[]
+            )
+        failures_at_max = bad
+    return DominanceCheckResult(
+        zeta=None, checked_y_range=(0, y_max), violations=failures_at_max
+    )
+
+
+def _random_custom_tables(n, seed=12):
+    rng = np.random.default_rng(seed)
+    tables = []
+    while len(tables) < n:
+        size = int(rng.integers(1, 7))
+        support = 2 * np.sort(rng.choice(np.arange(1, 13), size=size, replace=False))
+        probs = rng.dirichlet(np.ones(size) * rng.choice([0.2, 1.0, 5.0]))
+        if np.dot(support, probs) > 2.0:
+            tables.append(dict(zip(support.tolist(), probs.tolist())))
+    return tables
+
+
+STOCK_LAWS = [
+    ("geometric-pairs", {"p": 0.5}), ("geometric-pairs", {"p": 0.25}),
+    ("poisson-pairs", {"lam": 1.0}), ("poisson-pairs", {"lam": 0.5}),
+    ("fixed-pairs", {"b": 2}), ("fixed-pairs", {"b": 3}),
+    ("custom", {"pmf": {2: 0.5, 4: 0.5}}), ("custom", {"pmf": {2: 0.9, 10: 0.1}}),
+    ("custom", {"pmf": {2: 0.3, 6: 0.7}}),
+    # a top probability below the rounding of P(Z > t) near 1
+    ("custom", {"pmf": {2: 0.3, 6: 0.7 - 1e-17, 12: 1e-17}}),
+] + [("custom", {"pmf": table}) for table in _random_custom_tables(200)]
+
+SCAN_LIMITS = [(None, None), (0, None), (3, None), (None, 5), (0, 3)]
+
+
+@pytest.mark.parametrize("family, params", STOCK_LAWS)
+def test_dominance_equals_the_reference_scan(family, params):
+    dist = make_offspring(family, **params)
+    for zeta_max, y_max in SCAN_LIMITS:
+        got = check_assumption_z(dist, zeta_max=zeta_max, y_max=y_max)
+        want = reference_check_assumption_z(dist, zeta_max=zeta_max, y_max=y_max)
+        assert (got.zeta, got.violations, got.checked_y_range) == \
+               (want.zeta, want.violations, want.checked_y_range)
+
+
+@pytest.mark.slow
+def test_dominance_needing_a_large_shift_at_the_table_budget():
+    # the reference scan would try 32,765 shifts of a quadratic pass each
+    dist = make_offspring("custom", pmf={2: 0.5, MAX_TABLE_COUNT: 0.5})
+    assert check_assumption_z(dist).zeta == MAX_TABLE_COUNT - 4
+
+
+def test_dominance_scan_stops_where_the_table_does():
+    # conditioning on Z > y is vacuous from y = z_top on, so y_max costs nothing
+    res = check_assumption_z(make_offspring("fixed-pairs", b=2), y_max=10 ** 8)
+    assert (res.zeta, res.checked_y_range, res.violations) == (0, (0, 10 ** 8), [])
