@@ -1,9 +1,10 @@
 """Galton-Watson population simulation and martingale-limit sampling.
 
-W is the limit of the population at generation k normed by mu^k.  Each sample
-here runs the population chain in aggregate: one negative-binomial / Poisson /
+W is the limit of the population at generation k normed by mu^k.  ``w_chain``
+runs the population chain in aggregate: one negative-binomial / Poisson /
 binomial-split draw per generation instead of one draw per individual, which
-is exact in law and makes k = 12 with a million samples cheap.
+is exact in law and makes k = 12 with a million samples cheap.  W samples and
+leaf durations (mean mode is its k = 0 case) both draw through it.
 
 Reproducibility contract: sample i always uses the substream keyed
 (STREAM_W, i) under the master seed, so any chunking of the index range over
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import BudgetError, ConfigError
 from .rng import STREAM_W, substream
 
-__all__ = ["WEnsemble", "sample_W", "sample_w_range"]
+__all__ = ["WEnsemble", "sample_W", "sample_w_range", "w_chain"]
 
 
 @dataclass
@@ -44,17 +45,21 @@ def check_depth(dist, generations):
         )
 
 
+def w_chain(dist, rng, counts, generations):
+    """``counts`` grown for ``generations`` generations, over mu^k; zero draws nothing."""
+    if generations < 0:
+        raise ConfigError("INVALID_CONFIG", f"w_generations must be >= 0, got {generations}")
+    check_depth(dist, generations)
+    for _ in range(generations):
+        counts = dist.population_step(rng, counts)
+    return counts / dist.mu ** generations
+
+
 def sample_w_range(dist, generations, start, stop, master_seed):
     """W samples for indices [start, stop) under the per-index substream contract."""
-    out = np.empty(stop - start, dtype=np.float64)
-    norm = dist.mu ** generations
-    for i in range(start, stop):
-        rng = substream(master_seed, STREAM_W, i)
-        n = np.asarray(1, dtype=np.int64)
-        for _ in range(generations):
-            n = dist.population_step(rng, n)
-        out[i - start] = float(n) / norm
-    return out
+    one = np.asarray(1, dtype=np.int64)    # 0-d: draws on shape (1,) cost several times more
+    return np.array([w_chain(dist, substream(master_seed, STREAM_W, i), one, generations)
+                     for i in range(start, stop)], dtype=np.float64)
 
 
 def sample_W(dist, generations, count, seed):
@@ -67,5 +72,4 @@ def sample_W(dist, generations, count, seed):
         raise ConfigError("INVALID_CONFIG", f"generations must be >= 1, got {generations}")
     if count < 1:
         raise ConfigError("INVALID_CONFIG", f"count must be >= 1, got {count}")
-    check_depth(dist, generations)
     return WEnsemble(samples=sample_w_range(dist, generations, 0, count, seed), source=dist)

@@ -124,6 +124,14 @@ def band_stability(levels, ratios):
     return a, b, mid, halves, bool(a > 0 and b <= MAX_BAND_RATIO * a and close)
 
 
+def level_range(l_range):
+    """(lo, hi) as ints; refuses all but 1 <= lo <= hi, as the gauge is 0 at level 0."""
+    lo, hi = int(l_range[0]), int(l_range[1])
+    if not 1 <= lo <= hi:
+        raise ConfigError("INVALID_CONFIG", f"level range [{lo}, {hi}] needs 1 <= lo <= hi")
+    return lo, hi
+
+
 def modulus_ratio(path, l_range, hurst=None):
     """Ratios R(2**-l) for l in [lo, hi] plus a band-stability verdict.
 
@@ -131,10 +139,7 @@ def modulus_ratio(path, l_range, hurst=None):
     at most MAX_BAND_RATIO wide, and its endpoints move by at most BAND_TOL
     (relative) between the lower and upper halves of the level range.
     """
-    lo, hi = int(l_range[0]), int(l_range[1])
-    if not 1 <= lo <= hi:
-        # the gauge is 0 at level 0, where delta = 1 and ln delta = 0
-        raise ConfigError("INVALID_CONFIG", f"level range [{lo}, {hi}] needs 1 <= lo <= hi")
+    lo, hi = level_range(l_range)
     if hurst is None:
         hurst = path.hurst
     if hurst is None:

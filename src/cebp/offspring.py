@@ -101,7 +101,10 @@ class OffspringDistribution:
 
 
 def _validated(family, params, support, probs, mu):
-    support = np.asarray(support, dtype=np.int64)
+    try:
+        support = np.asarray(support, dtype=np.int64)
+    except OverflowError as exc:
+        raise ConfigError("INVALID_PMF", "support counts must fit in 64-bit integers") from exc
     probs = np.asarray(probs, dtype=np.float64)
     if support.size == 0:
         raise ConfigError("INVALID_PMF", "empty support")

@@ -117,11 +117,8 @@ def _one_tree(dist, config, index):
         substream(config.seed, STREAM_TREE, index),
         node_budget=config.node_budget,
     )
-    return assign_durations(
-        tree, dist, config.duration_mode,
-        substream(config.seed, STREAM_DURATION, index),
-        w_generations=config.w_generations,
-    )
+    k = config.w_generations if config.duration_mode == "sampled" else 0
+    return assign_durations(tree, dist, substream(config.seed, STREAM_DURATION, index), k)
 
 
 def simulate(config):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import check_depth
+from .branching import w_chain
 from .errors import BudgetError, ConfigError
 
 __all__ = [
@@ -139,28 +139,19 @@ def expand_tree(dist, root_orientation, depth, rng, node_budget=DEFAULT_NODE_BUD
     return CrossingTree(root_level=root_level, orientations=orientations, z=zs)
 
 
-def assign_durations(tree, dist, mode, rng, w_generations=12):
+def assign_durations(tree, dist, rng, w_generations):
     """Set the leaf durations; returns the same tree, updated.
 
-    Leaf durations are mu**(leaf level) in mean mode, or that times an
-    independent approximate-W draw in sampled mode (one aggregated chain per
-    leaf, vectorized over the leaf array).  ``CrossingTree.timing`` derives
-    every other generation's durations and start times from them.
+    Each leaf lasts mu**(leaf level) times an independent approximate-W draw
+    of ``w_generations`` generations (one aggregated chain per leaf,
+    vectorized over the leaf array).  Zero generations is mean mode: every
+    leaf lasts exactly mu**(leaf level), and ``rng`` is unused.
+    ``CrossingTree.timing`` derives every other generation's durations and
+    start times from the leaves.
     """
-    if mode not in ("mean", "sampled"):
-        raise ConfigError("INVALID_CONFIG", f"duration mode must be 'mean' or 'sampled', got {mode!r}")
     leaf_scale = float(dist.mu) ** (tree.root_level - tree.depth)
-    n_leaves = tree.orientations[-1].size
-    if mode == "mean":
-        tree.leaf_durations = np.full(n_leaves, leaf_scale, dtype=np.float64)
-    else:
-        if w_generations < 0:
-            raise ConfigError("INVALID_CONFIG", f"w_generations must be >= 0, got {w_generations}")
-        check_depth(dist, w_generations)
-        counts = np.ones(n_leaves, dtype=np.int64)
-        for _ in range(w_generations):
-            counts = dist.population_step(rng, counts)
-        tree.leaf_durations = leaf_scale * (counts / float(dist.mu) ** w_generations)
+    counts = np.ones(tree.orientations[-1].size, dtype=np.int64)
+    tree.leaf_durations = leaf_scale * w_chain(dist, rng, counts, w_generations)
     return tree
 
 

@@ -13,8 +13,7 @@ a boolean ``pass``:
   rescaled by mu**-n; the log(-log) chord targets slope -1.
 * ``modulus``: ratio of the chained block modulus to the gauge
   delta**H |ln delta|**(1-H) stays in a narrow stable band over dyadic
-  block widths, and the chained statistic brackets the brute-force modulus
-  within a factor of 3.
+  block widths (the acceptance tests compare it with the brute-force modulus).
 * ``scale-invariance``: rescaled crossing durations mu**(-n) D^n at
   adjacent levels agree in distribution (KS), and a wrong mu is detected.
 * ``assumptions``: supercriticality, Z log Z moment, and the offspring
@@ -30,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .branching import WEnsemble, check_depth, sample_w_range
+from .branching import WEnsemble, sample_w_range
 from .errors import ConfigError
 from .extract import duration_scale_invariance, extract_crossing_forest
 from .increments import (
@@ -40,7 +39,7 @@ from .increments import (
     remaining_time_records,
     remaining_time_tail,
 )
-from .modulus import BAND_TOL, MAX_BAND_RATIO, band_stability, modulus_ratio
+from .modulus import BAND_TOL, MAX_BAND_RATIO, band_stability, level_range, modulus_ratio
 from .offspring import check_assumption_gw, check_assumption_z, make_offspring
 from .paths import SimulationConfig, path_records, simulate
 from .rng import STREAM_MODULUS, STREAM_PATH, map_blocks
@@ -60,13 +59,16 @@ __all__ = [
 GEOM_HALF = {"family": "geometric-pairs", "p": 0.5}     # mu 4, H 1/2
 GEOM_THIRD = {"family": "geometric-pairs", "p": 0.25}   # mu 8, H 1/3
 
-# Pass thresholds of the w-tail and scale-invariance suites; each report
-# records them in its config.
+# The w-tail chain depth and the suites' pass thresholds; each report records
+# the values it uses in its config.
+W_GENERATIONS = 12
 W_TAIL_REL_TOL = 0.15
 W_TAIL_R2_MIN = 0.97
 SCALE_KS_MAX = 0.03
 SCALE_CONTROL_FACTOR = 2.0
 SCALE_CONTROL_MIN = 0.1
+INCREMENT_REL_TOL = 0.15
+REMAINING_TOL = 0.2
 
 
 def _family_label(spec):
@@ -77,8 +79,7 @@ def _family_label(spec):
 # ---------------------------------------------------------------------------
 # w-tail
 
-def verify_w_tail(families=None, generations=12, n_samples=1_000_000,
-                  seed=0, workers=1):
+def verify_w_tail(families=None, n_samples=1_000_000, seed=0, workers=1):
     """Left-tail exponent of W for each family; target -H/(1-H)."""
     if families is None:
         families = [GEOM_HALF, GEOM_THIRD]
@@ -87,10 +88,9 @@ def verify_w_tail(families=None, generations=12, n_samples=1_000_000,
     results = []
     for spec in families:
         dist = make_offspring(**spec)
-        check_depth(dist, generations)
         samples = np.concatenate(map_blocks(
             partial(sample_w_range, master_seed=seed), n_samples,
-            (dist, generations), workers,
+            (dist, W_GENERATIONS), workers,
         ))
         ensemble = WEnsemble(samples=samples, source=dist)
         fit = w_left_tail_fit(ensemble)
@@ -107,7 +107,7 @@ def verify_w_tail(families=None, generations=12, n_samples=1_000_000,
         })
     return {
         "suite": "w-tail",
-        "config": {"generations": generations, "n_samples": n_samples,
+        "config": {"generations": W_GENERATIONS, "n_samples": n_samples,
                    "seed": seed, "rel_tol": W_TAIL_REL_TOL, "r2_min": W_TAIL_R2_MIN},
         "families": results,
         "pass": bool(all(r["pass"] for r in results)),
@@ -118,7 +118,7 @@ def verify_w_tail(families=None, generations=12, n_samples=1_000_000,
 # increments
 
 def verify_increments(family=None, t=0.045, n_records=100_000, depth=7,
-                      seed=0, tol=0.15, workers=1):
+                      seed=0, workers=1):
     """Sup-increment tail exponent (target 1) plus the plain/sup sandwich."""
     spec = GEOM_HALF if family is None else family
     records = increment_records(
@@ -126,12 +126,12 @@ def verify_increments(family=None, t=0.045, n_records=100_000, depth=7,
         depth=depth, workers=workers,
     )
     fit = increment_tail(records)
-    ok = fit.relative_error <= tol and fit.sandwich_violations == 0
+    ok = fit.relative_error <= INCREMENT_REL_TOL and fit.sandwich_violations == 0
     return {
         "suite": "increments",
         "config": {"family": _family_label(spec), "t": t,
                    "n_records": n_records, "depth": depth,
-                   "horizon": INCREMENT_HORIZON, "seed": seed, "tol": tol},
+                   "horizon": INCREMENT_HORIZON, "seed": seed, "tol": INCREMENT_REL_TOL},
         "slope": fit.slope,
         "target": fit.target_exponent,
         "relative_error": fit.relative_error,
@@ -155,7 +155,7 @@ def _remaining_record(level, queries, seed, path, i):
 
 
 def verify_remaining_time(family=None, depth=9, level=-6, n_paths=10,
-                          queries_per_path=10_000, seed=0, tol=0.2, workers=1):
+                          queries_per_path=10_000, seed=0, workers=1):
     """Pooled remaining-time chord over sampled-duration paths; target -1."""
     spec = GEOM_HALF if family is None else family
     config = SimulationConfig(offspring=make_offspring(**spec), depth=depth,
@@ -164,13 +164,12 @@ def verify_remaining_time(family=None, depth=9, level=-6, n_paths=10,
         config, (seed, STREAM_PATH), n_paths,
         partial(_remaining_record, level, queries_per_path, seed), workers,
     ))
-    ok = abs(fit.slope - fit.target_exponent) <= tol
+    ok = abs(fit.slope - fit.target_exponent) <= REMAINING_TOL
     return {
         "suite": "remaining-time",
         "config": {"family": _family_label(spec), "depth": depth,
                    "level": level, "n_paths": n_paths,
-                   "queries_per_path": queries_per_path, "seed": seed,
-                   "tol": tol},
+                   "queries_per_path": queries_per_path, "seed": seed, "tol": REMAINING_TOL},
         "slope": fit.slope,
         "target": fit.target_exponent,
         "r_squared": fit.r_squared,
@@ -204,7 +203,7 @@ def verify_modulus(specs=MODULUS_SPECS, n_seeds=50, l_range=(4, 12), seed=0, wor
     upper halves of the level range must agree within BAND_TOL.
     The pooled per-seed extremes are reported as diagnostics.
     """
-    l_lo, l_hi = int(l_range[0]), int(l_range[1])
+    l_lo, l_hi = level_range(l_range)
     if n_seeds < 1:
         raise ConfigError("INVALID_CONFIG", f"need n_seeds >= 1, got {n_seeds}")
     results = []

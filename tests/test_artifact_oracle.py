@@ -4,14 +4,17 @@ Refactors must leave these artifacts unchanged; a deliberate change of the
 random-stream layout or of an artifact format updates the pins and says so.
 Fitted reports (``estimates.json`` and the verify suites that fit a slope) are
 left out because their least-squares fits may differ in the last bit between
-LAPACK builds; ``verify assumptions`` fits nothing and is pinned.
+LAPACK builds; ``verify assumptions`` fits nothing and is pinned.  The W
+samples behind the ``w-tail`` suite are pinned directly instead of its report.
 """
 
 import hashlib
 
 import pytest
 
+from cebp.branching import sample_W
 from cebp.cli import main
+from cebp.offspring import make_offspring
 
 SIMULATE = ("simulate", "--family", "geometric-pairs", "--p", "0.5", "--depth", "5")
 # Sampled, tiled runs of the two families whose draws take their own code:
@@ -85,3 +88,23 @@ def artifacts(tmp_path_factory):
 def test_artifact_sha256_is_pinned(artifacts, name):
     digest = hashlib.sha256((artifacts / name).read_bytes()).hexdigest()
     assert digest == PINS[name]
+
+
+# sha256 of sample_W(dist, 12, 2000, seed=1).samples.tobytes()
+W_PINS = {
+    "geometric-p0.5": ({"family": "geometric-pairs", "p": 0.5},
+                       "b0caf94483130204781a24cea4b964e3dd3808a33a51e5ac53f7c84f93b0656a"),
+    "geometric-p0.25": ({"family": "geometric-pairs", "p": 0.25},
+                        "ee6791c00028ba8dcfb4156caa2c1874f56efe4723d8d9e26e2be2e0772cef28"),
+    "poisson-lam1": ({"family": "poisson-pairs", "lam": 1.0},
+                     "579c64d045643c40f88df6da74f4b7f8f29fa7b5c1c5eb82dad87b036596645b"),
+    "custom-2-4-8": ({"family": "custom", "pmf": {2: 0.5, 4: 0.3, 8: 0.2}},
+                     "a1ee16242f1fdf1a130923bb4394b630fa2815a9bc3a11b441e4376a7f9debc1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(W_PINS))
+def test_w_samples_sha256_is_pinned(name):
+    spec, pin = W_PINS[name]
+    samples = sample_W(make_offspring(**spec), 12, 2000, seed=1).samples
+    assert hashlib.sha256(samples.tobytes()).hexdigest() == pin

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import logsumexp
 
 from cebp.branching import sample_W, sample_w_range
 from cebp.errors import BudgetError, ConfigError
@@ -89,7 +90,69 @@ def test_depth_overflow_keeps_headroom_above_the_mean():
     assert err.value.code == "DEPTH_OVERFLOW"
     tree = expand_tree(dist, UP, 2, np.random.default_rng(0))
     with pytest.raises(BudgetError) as err:
-        assign_durations(tree, dist, "sampled", np.random.default_rng(1), w_generations=33)
+        assign_durations(tree, dist, np.random.default_rng(1), 33)
     assert err.value.code == "DEPTH_OVERFLOW"
     # 8^12 = 2^36, the deepest chain the suites use, stays allowed
     assert sample_W(make_offspring("geometric-pairs", p=0.25), 12, 2, 0).samples.size == 2
+
+
+# Exact-law oracle: E exp(-lam W_k) = f^(k)(exp(-lam / mu^k)), f the pgf of Z.
+LAMBDAS = 2.0 ** np.arange(-2, 6)        # 0.25 ... 32
+ORACLE_SAMPLES = 20_000
+
+
+def w_k_transform(dist, lam, k):
+    """E exp(-lam W_k), iterating log f(e^u) = logsumexp(log p_z + z u) over the pmf table.
+
+    Log space keeps large lam from underflowing; the table drops < 1e-12 of mass.
+    """
+    log_p = np.log(dist.probs)
+    u = -np.asarray(lam, dtype=float) / dist.mu ** k
+    for _ in range(k):
+        u = logsumexp(log_p + np.multiply.outer(u, dist.support), axis=-1)
+    return np.exp(u)
+
+
+def transform_z(samples, phi, phi_twice):
+    """(empirical transform, its exact standard error) at LAMBDAS.
+
+    Var exp(-lam W) = E exp(-2 lam W) - phi^2, so the oracle gives the error too.
+    """
+    empirical = np.exp(-np.multiply.outer(LAMBDAS, samples)).mean(axis=1)
+    se = np.sqrt(np.maximum(phi_twice - phi ** 2, 0.0) / samples.size)
+    return empirical, se
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("spec", [
+    {"family": "geometric-pairs", "p": 0.25},
+    {"family": "poisson-pairs", "lam": 1.0},
+    {"family": "fixed-pairs", "b": 2},
+    {"family": "custom", "pmf": {2: 0.5, 4: 0.3, 8: 0.2}},
+], ids=["geometric", "poisson", "fixed", "custom"])
+def test_w_k_matches_its_exact_laplace_transform(spec, seed):
+    dist, k = make_offspring(**spec), 10
+    samples = sample_W(dist, k, ORACLE_SAMPLES, seed).samples
+    phi = w_k_transform(dist, LAMBDAS, k)
+    empirical, se = transform_z(samples, phi, w_k_transform(dist, 2 * LAMBDAS, k))
+    # |z| <= 5; fixed-pairs has W_k == 1 and a standard error of 0
+    assert np.all(np.abs(empirical - phi) <= 5 * se + 1e-12)
+
+
+def test_fixed_pairs_transform_is_exp():
+    phi = w_k_transform(make_offspring("fixed-pairs", b=2), LAMBDAS, 10)
+    assert np.allclose(phi, np.exp(-LAMBDAS), rtol=0, atol=1e-12)
+
+
+def brownian_exit_transform(lam):
+    """E exp(-lam T) for T the exit time of Brownian motion from (-1, 1)."""
+    return 1.0 / np.cosh(np.sqrt(2.0 * lam))
+
+
+@pytest.mark.parametrize("p, within", [(0.5, True), (0.25, False)], ids=["p0.5", "control-p0.25"])
+def test_w_at_p_half_is_the_brownian_exit_time(p, within):
+    # the p = 1/4 law must be told apart from the Brownian one
+    samples = sample_W(make_offspring("geometric-pairs", p=p), 12, ORACLE_SAMPLES, 4).samples
+    phi = brownian_exit_transform(LAMBDAS)
+    empirical, se = transform_z(samples, phi, brownian_exit_transform(2 * LAMBDAS))
+    assert (np.max(np.abs(empirical - phi) / se) <= 5) == within

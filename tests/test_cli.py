@@ -223,6 +223,7 @@ def test_check_dist_flags_zero_shift_violation(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("pmf", [
     "not-json", '{"2": null}', '{"2": [1]}', '{"2": "nan", "4": 1}',
+    '{"1180591620717411303424": 0.5, "2": 0.5}',
 ])
 def test_check_dist_bad_pmf_is_config_error(tmp_path, monkeypatch, pmf):
     monkeypatch.chdir(tmp_path)

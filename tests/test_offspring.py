@@ -89,6 +89,8 @@ def test_fixed_pairs_ok():
         {2: 0.4, 4: 0.4},         # mass != 1
         {2: float("nan"), 4: 1.0},
         {2: float("inf"), 4: 1.0},
+        {2: 0.5, 2 ** 63: 0.5},   # past int64
+        {2: 0.5, 2 ** 70: 0.5},
     ],
 )
 def test_invalid_custom_tables(table):

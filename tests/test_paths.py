@@ -15,9 +15,9 @@ from cebp.paths import (
 from cebp.tree import UP, assign_durations, expand_tree
 
 
-def make_tree(dist, depth, seed, mode="mean"):
+def make_tree(dist, depth, seed, w_generations=0):
     tree = expand_tree(dist, UP, depth, np.random.default_rng((100, seed)))
-    return assign_durations(tree, dist, mode, np.random.default_rng((101, seed)))
+    return assign_durations(tree, dist, np.random.default_rng((101, seed)), w_generations)
 
 
 def test_missing_durations():
@@ -154,7 +154,7 @@ def test_rescale_distributional_invariance():
 
 def test_csv_round_trip(tmp_path):
     dist = make_offspring("geometric-pairs", p=0.5)
-    path = build_path(make_tree(dist, 5, 4, mode="sampled"))
+    path = build_path(make_tree(dist, 5, 4, w_generations=12))
     csv_file = tmp_path / "p.csv"
     side_file = tmp_path / "p.json"
     write_path_csv(path, csv_file, side_file)

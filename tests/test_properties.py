@@ -63,16 +63,16 @@ def test_csv_readers_raise_only_cebp_errors(new_file, content, anchor):
 
 @settings(PROPERTY, max_examples=150)
 @given(spec=FAMILIES, depth=st.integers(1, 4), root_level=st.integers(-6, 6),
-       durations=st.sampled_from([None, "mean", "sampled"]),
+       w_generations=st.sampled_from([None, 0, 4]),
        n_trees=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
-def test_tree_files_round_trip(new_file, spec, depth, root_level, durations, n_trees, seed):
+def test_tree_files_round_trip(new_file, spec, depth, root_level, w_generations, n_trees, seed):
     dist = make_offspring(**spec)
     trees = []
     for i in range(n_trees):
         rng = np.random.default_rng([seed, i])
         tree = expand_tree(dist, UP if i % 2 else DOWN, depth, rng, root_level=root_level)
-        if durations is not None:
-            assign_durations(tree, dist, durations, rng, w_generations=4)
+        if w_generations is not None:
+            assign_durations(tree, dist, rng, w_generations)
         trees.append(tree)
     first, second = new_file(".ndjson"), new_file(".ndjson")
     write_trees(trees, first)
@@ -99,7 +99,7 @@ def test_tree_reader_raises_only_cebp_errors(new_file, data, durations, n_trees,
     dist = make_offspring("fixed-pairs", b=2)
     trees = [expand_tree(dist, UP, 1, np.random.default_rng(i)) for i in range(n_trees)]
     if durations:
-        trees = [assign_durations(tree, dist, "mean", None) for tree in trees]
+        trees = [assign_durations(tree, dist, None, 0) for tree in trees]
     good = new_file(".ndjson")
     write_trees(trees, good)
     recs = [json.loads(line) for line in good.read_text().splitlines()]

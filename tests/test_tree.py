@@ -103,7 +103,7 @@ def test_expand_budget_trips():
 def test_mean_durations_fixed_pairs():
     dist = make_offspring("fixed-pairs", b=2)
     tree = expand_tree(dist, UP, 3, np.random.default_rng(8))
-    assign_durations(tree, dist, "mean", np.random.default_rng(9))
+    assign_durations(tree, dist, None, 0)
     durations, starts = tree.timing()
     assert np.all(tree.leaf_durations == 4.0 ** -3)
     assert durations[0][0] == pytest.approx(1.0, abs=1e-12)
@@ -116,7 +116,7 @@ def test_mean_root_duration_is_w_sample():
     roots = []
     for seed in range(400):
         tree = expand_tree(dist, UP, 6, np.random.default_rng((10, seed)))
-        assign_durations(tree, dist, "mean", np.random.default_rng(0))
+        assign_durations(tree, dist, None, 0)
         roots.append(tree.timing()[0][0][0])
         # root duration equals the generation population over mu^m
         assert roots[-1] == pytest.approx(
@@ -128,7 +128,7 @@ def test_mean_root_duration_is_w_sample():
 def test_sampled_durations_validate():
     dist = make_offspring("geometric-pairs", p=0.5)
     tree = expand_tree(dist, DOWN, 5, np.random.default_rng(11))
-    assign_durations(tree, dist, "sampled", np.random.default_rng(12), w_generations=6)
+    assign_durations(tree, dist, np.random.default_rng(12), 6)
     assert validate_tree(tree) is None
     leaves = tree.leaf_durations
     assert np.all(leaves > 0)
@@ -140,10 +140,10 @@ def test_sampled_durations_refuse_negative_w_generations():
     dist = make_offspring("geometric-pairs", p=0.5)
     tree = expand_tree(dist, DOWN, 3, np.random.default_rng(11))
     with pytest.raises(ConfigError) as err:
-        assign_durations(tree, dist, "sampled", np.random.default_rng(12), w_generations=-1)
+        assign_durations(tree, dist, np.random.default_rng(12), -1)
     assert err.value.code == "INVALID_CONFIG"
-    # zero generations is valid: every leaf gets its mean duration
-    assign_durations(tree, dist, "sampled", np.random.default_rng(12), w_generations=0)
+    # zero generations is mean mode: every leaf gets its mean duration
+    assign_durations(tree, dist, np.random.default_rng(12), 0)
     assert np.all(tree.leaf_durations == dist.mu ** -3)
 
 
@@ -157,10 +157,10 @@ def test_sampled_matches_deeper_mean_mode_root_law():
     sampled, mean_deep = [], []
     for seed in range(reps):
         t1 = expand_tree(dist, UP, m, np.random.default_rng((13, seed)))
-        assign_durations(t1, dist, "sampled", np.random.default_rng((14, seed)), w_generations=k)
+        assign_durations(t1, dist, np.random.default_rng((14, seed)), k)
         sampled.append(t1.timing()[0][0][0])
         t2 = expand_tree(dist, UP, m + k, np.random.default_rng((15, seed)))
-        assign_durations(t2, dist, "mean", np.random.default_rng(0))
+        assign_durations(t2, dist, None, 0)
         mean_deep.append(t2.timing()[0][0][0])
     ks = stats.ks_2samp(sampled, mean_deep)
     assert ks.statistic < 0.04
@@ -169,7 +169,7 @@ def test_sampled_matches_deeper_mean_mode_root_law():
 def test_child_offsets_address_the_arena():
     dist = make_offspring("fixed-pairs", b=2)
     tree = expand_tree(dist, UP, 2, np.random.default_rng(16))
-    assign_durations(tree, dist, "mean", np.random.default_rng(0))
+    assign_durations(tree, dist, None, 0)
     root_off = tree.child_offsets(0)
     assert root_off[1] - root_off[0] == 4
     off = tree.child_offsets(1)

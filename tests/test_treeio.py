@@ -56,7 +56,7 @@ def test_round_trip_fixed_pairs(tmp_path):
 def test_round_trip_with_durations_exact(tmp_path):
     dist = make_offspring("geometric-pairs", p=0.5)
     tree = expand_tree(dist, UP, 5, np.random.default_rng(1))
-    assign_durations(tree, dist, "sampled", np.random.default_rng(2), w_generations=5)
+    assign_durations(tree, dist, np.random.default_rng(2), 5)
     back = round_trip(tree, tmp_path)
     assert trees_equal(tree, back)  # bit-exact floats via round-trip repr
 
@@ -141,7 +141,7 @@ def test_multi_tree_file(tmp_path):
     trees = []
     for seed in range(3):
         t = expand_tree(dist, UP, 3, np.random.default_rng((6, seed)))
-        assign_durations(t, dist, "mean", np.random.default_rng(0))
+        assign_durations(t, dist, None, 0)
         trees.append(t)
     path = tmp_path / "forest.ndjson"
     write_trees(trees, path)
@@ -190,8 +190,7 @@ def reference_lines(trees):
 def sampled_tree(depth, root_level=0, seed=8):
     dist = make_offspring("geometric-pairs", p=0.5)
     tree = expand_tree(dist, DOWN, depth, np.random.default_rng(seed), root_level=root_level)
-    return assign_durations(tree, dist, "sampled", np.random.default_rng(seed + 1),
-                            w_generations=6)
+    return assign_durations(tree, dist, np.random.default_rng(seed + 1), 6)
 
 
 def tile_trees():

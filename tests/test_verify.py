@@ -5,7 +5,7 @@ import json
 import pytest
 
 from cebp import verify as V
-from cebp.errors import BudgetError
+from cebp.errors import BudgetError, ConfigError
 
 GEOM_HALF = {"family": "geometric-pairs", "p": 0.5}
 GEOM_THIRD = {"family": "geometric-pairs", "p": 0.25}
@@ -61,16 +61,17 @@ def test_scale_invariance_suite():
 
 def test_remaining_time_suite_small():
     report = V.verify_remaining_time(
-        depth=8, level=-5, n_paths=2, queries_per_path=2_000, seed=1, tol=0.3
+        depth=8, level=-5, n_paths=2, queries_per_path=2_000, seed=1
     )
     assert report["suite"] == "remaining-time"
-    assert report["pass"] is True
+    assert report["config"]["tol"] == V.REMAINING_TOL
+    assert abs(report["slope"] - report["target"]) <= 0.3
     assert report["n_records"] > 3_500
     assert report["interior_fraction"] > 0.9
 
 
 def test_remaining_time_worker_invariance():
-    kw = dict(depth=7, level=-4, n_paths=2, queries_per_path=500, seed=2, tol=1.0)
+    kw = dict(depth=7, level=-4, n_paths=2, queries_per_path=500, seed=2)
     a = V.verify_remaining_time(**kw)
     b = V.verify_remaining_time(workers=2, **kw)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
@@ -85,9 +86,23 @@ def test_modulus_suite_small():
     assert len(fam["per_level_mean"]) == 5
 
 
+def test_modulus_refuses_its_level_range_before_any_path(monkeypatch):
+    import cebp.paths
+
+    def no_path(config):
+        raise AssertionError("a path was simulated before the level range was checked")
+
+    monkeypatch.setattr(cebp.paths, "simulate", no_path)
+    with pytest.raises(ConfigError) as err:
+        V.verify_modulus(n_seeds=3, l_range=(0, 4))
+    assert err.value.code == "INVALID_CONFIG"
+
+
 def test_increments_suite_small():
-    report = V.verify_increments(n_records=600, depth=5, seed=4, tol=0.5)
+    report = V.verify_increments(n_records=600, depth=5, seed=4)
     assert report["suite"] == "increments"
+    assert report["config"]["tol"] == V.INCREMENT_REL_TOL
+    assert report["relative_error"] <= 0.5
     assert report["sandwich_violations"] == 0
     assert len(report["curve"]["abscissa"]) == len(report["curve"]["p_sup"])
 
@@ -104,7 +119,7 @@ def test_run_suite_dispatch():
 
 
 @pytest.mark.parametrize("suite, kwargs", [
-    ("remaining-time", dict(depth=5, level=-3, n_paths=4, queries_per_path=200, tol=10.0)),
+    ("remaining-time", dict(depth=5, level=-3, n_paths=4, queries_per_path=200)),
     ("modulus", dict(specs=({"family": GEOM_HALF, "depth": 6, "w_generations": 2},),
                      n_seeds=3, l_range=(2, 5))),
     ("scale-invariance", dict(depth=6, levels=(-5, -4), min_crossings=50)),
@@ -126,6 +141,7 @@ def test_suites_build_the_offspring_law_once(monkeypatch, suite, kwargs):
 
 
 def test_w_tail_refuses_a_depth_whose_counts_overflow():
+    # 22^12 > 2^52: the suite's fixed chain depth is too deep for mu = 22
     with pytest.raises(BudgetError) as err:
-        V.verify_w_tail(families=[GEOM_HALF], generations=31, n_samples=300)
+        V.verify_w_tail(families=[{"family": "fixed-pairs", "b": 11}], n_samples=300)
     assert err.value.code == "DEPTH_OVERFLOW"
