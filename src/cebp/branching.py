@@ -6,9 +6,10 @@ binomial-split draw per generation instead of one draw per individual, which
 is exact in law and makes k = 12 with a million samples cheap.  W samples and
 leaf durations (mean mode is its k = 0 case) both draw through it.
 
-Reproducibility contract: sample i always uses the substream keyed
-(STREAM_W, i) under the master seed, so any chunking of the index range over
-any number of workers yields bit-identical ensembles.
+Reproducibility contract: block b of W_BLOCK samples is one vectorized chain on
+the substream keyed (STREAM_W, b) under the master seed, and sample i comes from
+block i // W_BLOCK, so any chunking of the index range over any number of
+workers yields bit-identical ensembles.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,8 @@ import numpy as np
 from .errors import BudgetError, ConfigError
 from .rng import STREAM_W, substream
 
-__all__ = ["WEnsemble", "sample_W", "sample_w_range", "w_chain"]
+__all__ = ["W_BLOCK", "WEnsemble", "sample_W", "sample_w_range", "w_chain"]
+W_BLOCK = 1024   # a constant, never a function of workers: it fixes every sample's stream
 
 
 @dataclass
@@ -56,18 +58,15 @@ def w_chain(dist, rng, counts, generations):
 
 
 def sample_w_range(dist, generations, start, stop, master_seed):
-    """W samples for indices [start, stop) under the per-index substream contract."""
-    one = np.asarray(1, dtype=np.int64)    # 0-d: draws on shape (1,) cost several times more
-    return np.array([w_chain(dist, substream(master_seed, STREAM_W, i), one, generations)
-                     for i in range(start, stop)], dtype=np.float64)
+    """W samples for indices [start, stop), cut from the blocks that cover them."""
+    first, ones = start // W_BLOCK, np.ones(W_BLOCK, dtype=np.int64)
+    blocks = [w_chain(dist, substream(master_seed, STREAM_W, b), ones, generations)
+              for b in range(first, -(-stop // W_BLOCK))]
+    return np.concatenate([np.empty(0), *blocks])[start - first * W_BLOCK:stop - first * W_BLOCK]
 
 
 def sample_W(dist, generations, count, seed):
-    """Draw ``count`` independent approximate-W samples at depth ``generations``.
-
-    ``seed`` is the master seed; samples are independent via per-index
-    substreams.
-    """
+    """``count`` approximate-W samples at depth ``generations``; sample i depends on (seed, i) only."""
     if generations < 1:
         raise ConfigError("INVALID_CONFIG", f"generations must be >= 1, got {generations}")
     if count < 1:

@@ -90,16 +90,16 @@ def test_artifact_sha256_is_pinned(artifacts, name):
     assert digest == PINS[name]
 
 
-# sha256 of sample_W(dist, 12, 2000, seed=1).samples.tobytes()
+# sha256 of sample_W(dist, 12, 2000, seed=1).samples.tobytes(), drawn in W_BLOCK blocks
 W_PINS = {
     "geometric-p0.5": ({"family": "geometric-pairs", "p": 0.5},
-                       "b0caf94483130204781a24cea4b964e3dd3808a33a51e5ac53f7c84f93b0656a"),
+                       "e156d1f57fafa85f58b89549584bedb132a94a26f006f02f4a6074fb93093d30"),
     "geometric-p0.25": ({"family": "geometric-pairs", "p": 0.25},
-                        "ee6791c00028ba8dcfb4156caa2c1874f56efe4723d8d9e26e2be2e0772cef28"),
+                        "abcf3e7b225b82dbb4803e879de4b405990ab5de1097599b85f452e7e1477d9b"),
     "poisson-lam1": ({"family": "poisson-pairs", "lam": 1.0},
-                     "579c64d045643c40f88df6da74f4b7f8f29fa7b5c1c5eb82dad87b036596645b"),
+                     "58d54c9bcdbe87c5f692a781b877cc074d5979551fd241f32b801cc38acf597f"),
     "custom-2-4-8": ({"family": "custom", "pmf": {2: 0.5, 4: 0.3, 8: 0.2}},
-                     "a1ee16242f1fdf1a130923bb4394b630fa2815a9bc3a11b441e4376a7f9debc1"),
+                     "163bffd6c62273e83a345e1138cc5ad260b4ba7d87e3b8d8ddfb33b2a9855dbf"),
 }
 
 

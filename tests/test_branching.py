@@ -1,12 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import logsumexp
 
-from cebp.branching import sample_W, sample_w_range
+from cebp.branching import W_BLOCK, sample_W, sample_w_range
 from cebp.errors import BudgetError, ConfigError
 from cebp.offspring import make_offspring
 from cebp.tree import UP, assign_durations, expand_tree
+from cebp.verify import verify_w_tail
 
 
 def naive_population(dist, generations, rng):
@@ -65,13 +68,32 @@ def test_custom_chain_matches_choice_sampling():
 
 
 def test_chunking_invariance():
-    dist = make_offspring("poisson-pairs", lam=1.0)
+    dist, B = make_offspring("poisson-pairs", lam=1.0), W_BLOCK
     whole = sample_w_range(dist, 8, 0, 40, master_seed=17)
     parts = np.concatenate(
         [sample_w_range(dist, 8, 0, 13, 17), sample_w_range(dist, 8, 13, 40, 17)]
     )
     assert np.array_equal(whole, parts)
     assert np.array_equal(sample_W(dist, 8, 40, seed=17).samples, whole)
+    # splits that straddle block boundaries
+    whole = sample_w_range(dist, 8, 0, 3 * B + 7, 17)
+    bounds = [0, B - 1, B + 1, 3 * B + 7]
+    parts = [sample_w_range(dist, 8, lo, hi, 17) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    assert [p.size for p in parts] == [B - 1, 2, 2 * B + 6]
+    assert np.array_equal(np.concatenate(parts), whole)
+    for lo in (5, B):
+        empty = sample_w_range(dist, 8, lo, lo, 17)
+        assert empty.size == 0 and empty.dtype == np.float64
+    # a sample does not depend on how many are drawn
+    assert np.array_equal(sample_W(dist, 8, B + 3, seed=17).samples, whole[:B + 3])
+    # blocks are independent draws, not copies of block 0
+    assert not np.array_equal(whole[:B], whole[B:2 * B])
+
+
+def test_w_tail_report_is_worker_invariant_across_blocks():
+    a = verify_w_tail(n_samples=2 * W_BLOCK + 5, seed=2)
+    b = verify_w_tail(n_samples=2 * W_BLOCK + 5, seed=2, workers=3)
+    assert json.dumps(a) == json.dumps(b)
 
 
 def test_count_precondition():
@@ -156,3 +178,34 @@ def test_w_at_p_half_is_the_brownian_exit_time(p, within):
     phi = brownian_exit_transform(LAMBDAS)
     empirical, se = transform_z(samples, phi, brownian_exit_transform(2 * LAMBDAS))
     assert (np.max(np.abs(empirical - phi) / se) <= 5) == within
+
+
+# Left-tail exponent without Monte Carlo: -log E exp(-lam W) ~ c lam^H as lam -> oo
+# (de Bruijn's Tauberian theorem, the Boettcher case: every Z >= 2).
+TAIL_LAMBDAS = np.logspace(2, 5, 13)
+
+
+def transform_tail_slope(dist, k=12):
+    """Slope of log(-log phi(lam)) on log lam over TAIL_LAMBDAS, phi the exact W_k transform."""
+    phi = w_k_transform(dist, TAIL_LAMBDAS, k)
+    return np.polyfit(np.log(TAIL_LAMBDAS), np.log(-np.log(phi)), 1)[0]
+
+
+SPECS_WITH_KNOWN_H = [
+    {"family": "geometric-pairs", "p": 0.5},
+    {"family": "geometric-pairs", "p": 0.25},
+    {"family": "poisson-pairs", "lam": 1.0},
+    {"family": "custom", "pmf": {2: 0.5, 4: 0.3, 8: 0.2}},
+]
+
+
+@pytest.mark.parametrize("spec", SPECS_WITH_KNOWN_H,
+                         ids=["geometric-p0.5", "geometric-p0.25", "poisson", "custom"])
+def test_transform_left_tail_exponent_is_hurst(spec):
+    dist = make_offspring(**spec)
+    assert abs(transform_tail_slope(dist) - dist.hurst) <= 0.03
+
+
+def test_transform_left_tail_exponent_control():
+    # the p = 1/4 law (H = 1/3) held to H = 1/2 must fail
+    assert abs(transform_tail_slope(make_offspring("geometric-pairs", p=0.25)) - 0.5) > 0.03
