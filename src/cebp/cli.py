@@ -172,7 +172,8 @@ def cmd_analyze(args):
     )
     try:
         report["scale_invariance"] = duration_scale_invariance(
-            forest, mu=args.mu, min_crossings=args.min_crossings,
+            forest, mu=estimates["mu_hat"] if args.mu is None else args.mu,
+            min_crossings=args.min_crossings,
         )
     except AnalysisError as exc:
         report["scale_invariance"] = {"error": str(exc)}
@@ -262,11 +263,13 @@ def cmd_verify(args):
     reports = [run_suite(name, seed=args.seed, workers=args.workers, **kw)
                for name, kw in kwargs]
     all_pass = all(r["pass"] for r in reports)
-    # workers is an execution detail: results are worker-invariant, so it
-    # stays out of the artifact to keep runs byte-comparable.
+    # Only the flags a selected suite took (--config may carry others); workers
+    # stays out too: results are worker-invariant, so runs stay byte-comparable.
     resolved = {"suite": args.suite, "seed": args.seed}
-    flags = {dest for table in _SUITE_FLAGS.values() for dest, _ in table}
-    for key in sorted(flags | {"p", "lam", "b", "pmf"}):
+    flags = {dest for name in names for dest, _ in _SUITE_FLAGS[name]}
+    if "family" in flags:
+        flags |= {"p", "lam", "b", "pmf"}
+    for key in sorted(flags):
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value

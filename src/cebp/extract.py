@@ -217,7 +217,7 @@ def _ks_distance(a, b):
     return d
 
 
-def duration_scale_invariance(forest, mu=None, min_crossings=100):
+def duration_scale_invariance(forest, mu, min_crossings=100):
     """KS distances between scaled duration laws of adjacent levels.
 
     Scaled duration at level n is mu**(-n) * D^n; under the canonical
@@ -225,8 +225,6 @@ def duration_scale_invariance(forest, mu=None, min_crossings=100):
     stay at the two-sample noise floor.  Passing a wrong ``mu`` breaks the
     scaling and inflates the distances (negative control).
     """
-    if mu is None:
-        mu = estimate_hurst(forest)["mu_hat"]
     if not 0 < mu < np.inf:
         raise ConfigError("INVALID_CONFIG", f"mu must be finite and > 0, got {mu!r}")
     eligible = [

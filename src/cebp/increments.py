@@ -70,8 +70,8 @@ class IncrementRecords:
         return int(self.plain.size)
 
 
-def _increment_record(t, master_seed, path, i):
-    rng = substream((master_seed, STREAM_INCREMENT, i), STREAM_QUERY)
+def _increment_record(t, path, i):
+    rng = substream(path.meta["seed"], STREAM_QUERY)   # (master_seed, STREAM_INCREMENT, i)
     s = rng.uniform(path.times[0], path.times[0] + 0.9 * path.span - t)
     v_s = np.interp(s, path.times, path.values)
     plain = abs(np.interp(s + t, path.times, path.values) - v_s)
@@ -99,7 +99,7 @@ def increment_records(dist, t, n_records, master_seed,
     )
     plain, sup = np.array(path_records(
         config, (master_seed, STREAM_INCREMENT), n_records,
-        partial(_increment_record, t, master_seed), workers,
+        partial(_increment_record, t), workers,
     )).T
     return IncrementRecords(t=float(t), hurst=float(dist.hurst), plain=plain, sup=sup)
 

@@ -34,7 +34,6 @@ from .tree import DEFAULT_NODE_BUDGET, DOWN, UP, assign_durations, expand_tree
 __all__ = [
     "SamplePath",
     "SimulationConfig",
-    "build_path",
     "simulate",
     "write_path_csv",
     "read_path_csv",
@@ -92,24 +91,6 @@ class SimulationConfig:
             raise ConfigError("INVALID_CONFIG", "tile mode needs target_horizon > 0")
 
 
-def build_path(tree):
-    """Turn one duration-assigned tree (root at level 0) into a SamplePath."""
-    if tree.leaf_durations is None:
-        raise ConfigError("MISSING_DURATIONS", "assign durations before building a path")
-    if tree.root_level != 0:
-        raise ConfigError("INVALID_CONFIG", f"path construction expects root level 0, got {tree.root_level}")
-    m = tree.depth
-    return SamplePath(
-        times=np.concatenate([[0.0], np.cumsum(tree.leaf_durations)]),
-        values=np.concatenate([[0.0], np.cumsum(tree.orientations[m] * 2.0 ** -m)]),
-        resolution_level=-m,
-        hurst=None,
-        mu=None,
-        origin="simulated",
-        meta={"depth": m},
-    )
-
-
 def _one_tree(dist, config, index):
     root = UP if substream(config.seed, STREAM_ROOT, index).integers(0, 2) else DOWN
     tree = expand_tree(
@@ -118,7 +99,8 @@ def _one_tree(dist, config, index):
         node_budget=config.node_budget,
     )
     k = config.w_generations if config.duration_mode == "sampled" else 0
-    return assign_durations(tree, dist, substream(config.seed, STREAM_DURATION, index), k)
+    rng = substream(config.seed, STREAM_DURATION, index) if k else None   # k = 0 draws nothing
+    return assign_durations(tree, dist, rng, k)
 
 
 def simulate(config):
@@ -129,9 +111,10 @@ def simulate(config):
     config.validate()
     dist = config.resolve_offspring()
     tile = config.root_mode == "tile"
-    trees, horizon, total_nodes, n_roots = [], 0.0, 0, 0
+    m = config.depth
+    trees, total_nodes, n_roots = [], 0, 0
     chunks_t, chunks_v = [np.array([0.0])], [np.array([0.0])]
-    while n_roots == 0 or (tile and horizon < config.target_horizon):
+    while n_roots == 0 or (tile and chunks_t[-1][-1] < config.target_horizon):
         tree = _one_tree(dist, config, n_roots)
         n_roots += 1
         total_nodes += tree.n_nodes
@@ -143,25 +126,21 @@ def simulate(config):
             )
         if config.keep_trees:
             trees.append(tree)
-        piece = build_path(tree)
-        chunks_t.append(piece.times[1:] + horizon)
-        chunks_v.append(piece.values[1:] + chunks_v[-1][-1])
-        horizon += piece.span
-    path = SamplePath(
+        chunks_t.append(np.cumsum(tree.leaf_durations) + chunks_t[-1][-1])
+        chunks_v.append(np.cumsum(tree.orientations[m] * 2.0 ** -m) + chunks_v[-1][-1])
+    meta = {"depth": m, "duration_mode": config.duration_mode, "seed": config.seed,
+            "family": dist.family, "params": dist.params, "root_mode": config.root_mode}
+    if tile:
+        meta["n_roots"] = n_roots
+    return SamplePath(
         times=np.concatenate(chunks_t),
         values=np.concatenate(chunks_v),
-        resolution_level=piece.resolution_level,
+        resolution_level=-m,
         hurst=dist.hurst,
         mu=dist.mu,
-        origin="simulated",
-        meta={"depth": config.depth, "duration_mode": config.duration_mode},
+        meta=meta,
         trees=trees if config.keep_trees else None,
     )
-    if tile:
-        path.meta["n_roots"] = n_roots
-    path.meta.update(seed=config.seed, family=dist.family, params=dist.params,
-                     root_mode=config.root_mode)
-    return path
 
 
 def _record_block(config, key, record, lo, hi):

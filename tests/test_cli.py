@@ -160,6 +160,50 @@ def test_verify_worker_count_stays_out_of_artifact(tmp_path, monkeypatch):
            (tmp_path / "v4.json").read_bytes()
 
 
+def test_verify_artifact_records_only_the_flags_its_suites_took(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_cli("verify", "w-tail", "--samples", "2000", "--records", "5", "--level", "3",
+            "--family", "poisson-pairs", "--lambda", "1", "--out", "w.json")
+    config = json.loads((tmp_path / "w.json").read_text())["config"]
+    assert config == {"suite": "w-tail", "seed": 0, "samples": 2000,
+                      "family": "poisson-pairs", "lam": 1.0}
+    # no suite of these takes --family, so neither does the artifact
+    run_cli("verify", "modulus", "--H", "0.5", "--depth", "10", "--seeds", "2",
+            "--l-range", "4:8", "--family", "poisson-pairs", "--lambda", "1",
+            "--out", "m.json")
+    config = json.loads((tmp_path / "m.json").read_text())["config"]
+    assert not {"family", "lam"} & set(config)
+
+
+def read_xy_csv(path):
+    lines = path.read_text().splitlines()
+    return lines[0], [[float(x) for x in line.split(",")] for line in lines[1:]]
+
+
+def test_verify_modulus_emit_plots_writes_the_per_level_means(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_cli("verify", "modulus", "--H", "0.5", "--depth", "10", "--seeds", "2",
+            "--l-range", "4:8", "--emit-plots", "--out", "m.json")
+    (report,) = json.loads((tmp_path / "m.json").read_text())["reports"]
+    (fam,) = report["families"]
+    header, rows = read_xy_csv(tmp_path / "m.modulus.geometric-pairs_p0.5.csv")
+    assert header == "l,mean_ratio"
+    assert [l for l, _ in rows] == [4, 5, 6, 7, 8]
+    assert [r for _, r in rows] == fam["per_level_mean"]
+
+
+def test_verify_increments_emit_plots_writes_the_curve(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_cli("verify", "increments", "--records", "40", "--depth", "5", "--emit-plots",
+            "--out", "i.json")
+    (report,) = json.loads((tmp_path / "i.json").read_text())["reports"]
+    header, rows = read_xy_csv(tmp_path / "i.increments.csv")
+    assert header == "u,p_sup"
+    assert len(rows) > 1
+    assert [u for u, _ in rows] == report["curve"]["abscissa"]
+    assert [p for _, p in rows] == report["curve"]["p_sup"]
+
+
 def test_verify_failing_suite_exits_nonzero(tmp_path, monkeypatch):
     # far too few samples to resolve the deep tail window: the fit is noisy
     # enough that the r-squared gate rejects it, so the verdict must fail
@@ -183,12 +227,22 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, monkeypatch)
     assert run_cli("simulate", "--config", "cfg.json", "--seed", "8",
                    "--out", "c3") == 0
     assert (tmp_path / "c1.csv").read_bytes() != (tmp_path / "c3.csv").read_bytes()
+    assert run_cli("simulate", "--config=cfg.json", "--out", "c4") == 0
+    assert (tmp_path / "c1.csv").read_bytes() == (tmp_path / "c4.csv").read_bytes()
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps({"depht": 5}))
     assert run_cli("simulate", "--config", "cfg.json") == 2
+
+
+@pytest.mark.parametrize("content", [b"{bad", b"[1, 2]"])
+def test_config_file_that_is_not_a_json_object_is_usage_error(tmp_path, monkeypatch, content):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_bytes(content)
+    assert run_cli("simulate", "--config", "cfg.json", "--out", "c") == 2
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_simulate_rerun_from_sidecar_config(tmp_path, monkeypatch):
@@ -316,6 +370,28 @@ def test_analyze_reruns_from_its_estimates(tmp_path, monkeypatch):
            (tmp_path / "a2.estimates.json").read_bytes()
     assert (tmp_path / "a1.forest.ndjson").read_bytes() == \
            (tmp_path / "a2.forest.ndjson").read_bytes()
+
+
+def test_analyze_estimates_mu_once(tmp_path, monkeypatch):
+    import cebp.cli
+    import cebp.extract
+
+    calls, estimate_hurst = [], cebp.extract.estimate_hurst
+
+    def counted(forest):
+        calls.append(forest)
+        return estimate_hurst(forest)
+
+    monkeypatch.chdir(tmp_path)
+    run_cli("simulate", "--family", "geometric-pairs", "--p", "0.5",
+            "--depth", "8", "--seed", "11", "--out", "run")
+    monkeypatch.setattr(cebp.cli, "estimate_hurst", counted)
+    monkeypatch.setattr(cebp.extract, "estimate_hurst", counted)
+    assert run_cli("analyze", "--path", "run.csv", "--levels", "-6:0", "--out", "a") == 0
+    report = json.loads((tmp_path / "a.estimates.json").read_text())
+    assert len(calls) == 1
+    assert report["config"]["mu"] is None
+    assert report["scale_invariance"]["mu"] == report["estimates"]["mu_hat"]
 
 
 def test_analyze_and_ingest_without_path_are_usage_errors(tmp_path, monkeypatch):

@@ -1,37 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import cebp.paths
 from cebp.errors import BudgetError, ConfigError
 from cebp.offspring import make_offspring
-from cebp.paths import (
-    SimulationConfig,
-    build_path,
-    ingest_csv,
-    read_path_csv,
-    simulate,
-    write_path_csv,
-)
-from cebp.tree import UP, assign_durations, expand_tree
-
-
-def make_tree(dist, depth, seed, w_generations=0):
-    tree = expand_tree(dist, UP, depth, np.random.default_rng((100, seed)))
-    return assign_durations(tree, dist, np.random.default_rng((101, seed)), w_generations)
-
-
-def test_missing_durations():
-    dist = make_offspring("fixed-pairs", b=2)
-    tree = expand_tree(dist, UP, 2, np.random.default_rng(0))
-    with pytest.raises(ConfigError) as err:
-        build_path(tree)
-    assert err.value.code == "MISSING_DURATIONS"
+from cebp.paths import SimulationConfig, ingest_csv, read_path_csv, simulate, write_path_csv
+from cebp.rng import STREAM_DURATION, substream
+from cebp.tree import UP
 
 
 def test_fixed_pairs_m1_path():
     dist = make_offspring("fixed-pairs", b=2)
-    tree = make_tree(dist, 1, 0)
-    path = build_path(tree)
+    path = simulate(SimulationConfig(offspring=dist, depth=1, seed=1))
+    assert path.trees[0].orientations[0][0] == UP   # seed 1 draws an up root
     assert np.allclose(path.times, [0, 0.25, 0.5, 0.75, 1.0])
     # one excursion then the direct pair; both variants end at +1 via +-1/2 steps
     assert path.values[0] == 0.0
@@ -42,9 +26,8 @@ def test_fixed_pairs_m1_path():
 def test_crossing_property():
     dist = make_offspring("geometric-pairs", p=0.5)
     for seed in range(10):
-        tree = make_tree(dist, 7, seed)
-        path = build_path(tree)
-        root = tree.orientations[0][0]
+        path = simulate(SimulationConfig(offspring=dist, depth=7, seed=seed))
+        root = path.trees[0].orientations[0][0]
         assert path.values[-1] == root * 1.0
         # interior values stay strictly inside (-1, 1)
         assert np.max(np.abs(path.values[:-1])) < 1.0
@@ -53,8 +36,8 @@ def test_crossing_property():
 
 def test_knot_count_matches_leaves():
     dist = make_offspring("poisson-pairs", lam=1.0)
-    tree = make_tree(dist, 6, 3)
-    path = build_path(tree)
+    path = simulate(SimulationConfig(offspring=dist, depth=6, seed=3))
+    tree = path.trees[0]
     assert path.n_knots == tree.generation_sizes[-1] + 1
     assert path.resolution_level == -6
 
@@ -90,10 +73,39 @@ def test_dropping_trees_leaves_the_path_unchanged(mode, root_mode):
 
 @pytest.mark.parametrize("mode", ["mean", "sampled"])
 def test_kept_tree_leaf_start_times_are_the_knot_times(mode):
-    path = simulate(SimulationConfig(offspring={"family": "geometric-pairs", "p": 0.5}, depth=6,
-                                     duration_mode=mode, seed=13))
-    (tree,) = path.trees
-    assert np.array_equal(tree.timing()[1][-1], path.times[:-1])
+    # mu = 3 makes the durations non-dyadic, so sums in another order differ in the last bits
+    for root_mode, offspring in itertools.product(
+            ("single", "tile"),
+            ({"family": "geometric-pairs", "p": 0.5}, {"family": "custom", "pmf": {2: .5, 4: .5}})):
+        path = simulate(SimulationConfig(offspring=offspring, depth=6, duration_mode=mode,
+                                         root_mode=root_mode, target_horizon=3.0, seed=13))
+        assert len(path.trees) == path.meta.get("n_roots", 1)
+        assert (len(path.trees) > 1) == (root_mode == "tile")
+        # each root's leaves start where the roots before it end
+        starts, end = [], 0.0
+        for tree in path.trees:
+            leaf_starts = tree.timing()[1][-1]
+            starts.append(leaf_starts + end)
+            end += leaf_starts[-1] + tree.leaf_durations[-1]
+        assert np.array_equal(np.concatenate(starts), path.times[:-1])
+
+
+@pytest.mark.parametrize("mode, w_generations, opens", [
+    ("mean", 12, False), ("sampled", 0, False), ("sampled", 4, True)])
+def test_only_a_chain_with_generations_opens_a_duration_stream(
+        monkeypatch, mode, w_generations, opens):
+    opened = []
+
+    def recording_substream(seed, *key):
+        opened.append(key[0])
+        return substream(seed, *key)
+
+    monkeypatch.setattr(cebp.paths, "substream", recording_substream)
+    path = simulate(SimulationConfig(
+        offspring={"family": "geometric-pairs", "p": 0.5}, depth=4, duration_mode=mode,
+        w_generations=w_generations, root_mode="tile", target_horizon=3.0, seed=2))
+    assert path.meta["n_roots"] > 1
+    assert opened.count(STREAM_DURATION) == (path.meta["n_roots"] if opens else 0)
 
 
 def test_tile_mode_fixed_pairs_exact_horizon():
@@ -154,7 +166,7 @@ def test_rescale_distributional_invariance():
 
 def test_csv_round_trip(tmp_path):
     dist = make_offspring("geometric-pairs", p=0.5)
-    path = build_path(make_tree(dist, 5, 4, w_generations=12))
+    path = simulate(SimulationConfig(offspring=dist, depth=5, duration_mode="sampled", seed=4))
     csv_file = tmp_path / "p.csv"
     side_file = tmp_path / "p.json"
     write_path_csv(path, csv_file, side_file)
