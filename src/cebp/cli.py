@@ -22,8 +22,8 @@ from . import __version__
 from .errors import EXIT_ANALYSIS, EXIT_CONFIG, AnalysisError, CebpError, ConfigError
 from .extract import duration_scale_invariance, estimate_hurst, extract_crossing_forest
 from .offspring import check_assumption_gw, check_assumption_z, make_offspring
-from .paths import (SimulationConfig, ingest_csv, read_path_csv, simulate, write_path_csv,
-                    write_xy_csv)
+from .paths import (SimulationConfig, float_text, ingest_csv, read_path_csv, simulate,
+                    write_path_csv, write_xy_csv)
 from .treeio import write_trees
 from .verify import MODULUS_SPECS, SUITES, run_suite
 
@@ -143,8 +143,7 @@ def _write_forest(forest, path):
     """
     with open(path, "w") as fh:
         for level, rec in sorted(forest.levels.items()):
-            times = np.concatenate([rec.start_times[:1], rec.end_times]).tolist()
-            text = list(map(repr, times))
+            text = list(float_text(np.concatenate([rec.start_times[:1], rec.end_times])))
             fh.writelines(
                 f'{{"end_time": {e}, "level": {level}, "orientation": "{o}", "position": {i}, '
                 f'"start_time": {s}, "subcrossing_count": {c}}}\n'
@@ -461,8 +460,16 @@ def _apply_config_file(commands, argv):
         raise ConfigError(
             "INVALID_CONFIG", f"unknown config keys: {', '.join(sorted(unknown))}"
         )
-    for p, names in dests.items():
-        p.set_defaults(**{k: v for k, v in data.items() if k in names})
+    for p in commands.values():    # a value must be of the JSON type its flag would parse to
+        for action in p._actions:
+            want = (bool,) if isinstance(action, argparse._StoreTrueAction) else \
+                {int: (int,), float: (int, float)}.get(action.type)
+            value = data.get(action.dest)
+            if want and value is not None and type(value) not in want:
+                raise ConfigError("INVALID_CONFIG", f"config key {action.dest!r} must be "
+                                  f"{' or '.join(t.__name__ for t in want)}, got {value!r}")
+    for p, names in dests.items():     # a null leaves the option at its default
+        p.set_defaults(**{k: v for k, v in data.items() if k in names and v is not None})
     return rest
 
 
@@ -472,6 +479,10 @@ def main(argv=None):
     try:
         argv = _apply_config_file(commands, _preprocess_argv(argv))
         args = parser.parse_args(argv)
+        for name, least in (("seed", 0), ("workers", 1)):  # SeedSequence and the pool take no less
+            if getattr(args, name, least) < least:
+                raise ConfigError("INVALID_CONFIG",
+                                  f"{name} must be >= {least}, got {getattr(args, name)}")
         return args.fn(args)
     except CebpError as exc:
         print(f"error {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ ensemble's config under the stream key (*key, i) and reduces the path to one
 record.
 """
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -87,6 +88,8 @@ class SimulationConfig:
             raise ConfigError("INVALID_CONFIG", f"unknown duration mode {self.duration_mode!r}")
         if self.root_mode not in ("single", "tile"):
             raise ConfigError("INVALID_CONFIG", f"unknown root mode {self.root_mode!r}")
+        if np.min(self.seed) < 0:          # an int or a key tuple; SeedSequence takes neither below 0
+            raise ConfigError("INVALID_CONFIG", f"seed must be >= 0, got {self.seed!r}")
         if self.root_mode == "tile" and not self.target_horizon > 0:
             raise ConfigError("INVALID_CONFIG", "tile mode needs target_horizon > 0")
 
@@ -181,12 +184,39 @@ def window_deviation(path, lo, hi, anchor):
     return np.maximum(wmax - anchor, anchor - wmin)
 
 
+TEXT_BLOCK = 8192     # entries of a streamed column held as Python floats at once
+
+
+def float_text(values):
+    """The ``repr`` of each entry of a float64 column, in order, as an iterable.
+
+    The one float formatter of the artifact writers.  A column in which at
+    most a quarter of the entries are distinct (lattice values, mean-mode
+    durations) formats each distinct bit pattern once and shares its string;
+    the patterns are found by sorting the column's int64 view, so -0.0 keeps
+    its sign.  A mostly-distinct column (knot times, start times, sampled
+    durations) streams ``repr`` lazily, one entry at a time, and converts
+    ``TEXT_BLOCK`` entries to Python floats at a time, so that no string or
+    float is held for every entry.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
+    bits = values.view(np.int64)
+    ordered = np.sort(bits)
+    first = np.ones(bits.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if 4 * np.count_nonzero(first) > bits.size:
+        return itertools.chain.from_iterable(map(repr, values[i:i + TEXT_BLOCK].tolist())
+                                             for i in range(0, values.size, TEXT_BLOCK))
+    distinct = ordered[first]
+    text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return text[np.searchsorted(distinct, bits)]
+
+
 def write_xy_csv(csv_file, header, xs, ys):
-    """Stream a header line, then one `x,y` row of float reprs (-10 as -10.0)."""
+    """Stream a header line, then one `x,y` row of ``float_text`` reprs (-10 as -10.0)."""
     with open(csv_file, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(f"{x!r},{y!r}\n" for x, y in zip(
-            np.asarray(xs, dtype=np.float64).tolist(), np.asarray(ys, dtype=np.float64).tolist()))
+        fh.writelines(f"{x},{y}\n" for x, y in zip(float_text(xs), float_text(ys)))
 
 
 def write_path_csv(path, csv_file, sidecar_file):

@@ -9,9 +9,11 @@ field's JSON type, each tree with ``validate_tree``, every id and parent_id
 against that layout, and every duration and start_time against what
 ``timing()`` derives from the leaf durations, bit for bit.  Floats go through
 Python's shortest round-trip repr, so a file ``write_trees`` wrote reads back
-and writes out again byte for byte.  Lines keep the ``json.dumps`` layout
-(keys in the order above, then ``tree`` in multi-tree files), formatted a
-generation's columns at a time; the sha256 pins in
+and writes out again byte for byte; ``paths.float_text`` formats them, once
+per distinct bit pattern in a column that repeats (mean-mode durations) and
+lazily one by one in a mostly-distinct one (start times).  Lines keep the
+``json.dumps`` layout (keys in the order above, then ``tree`` in multi-tree
+files), each built in one f-string; the sha256 pins in
 ``tests/test_artifact_oracle.py`` hold those bytes fixed.
 """
 
@@ -21,6 +23,7 @@ import json
 import numpy as np
 
 from .errors import ConfigError
+from .paths import float_text
 from .tree import CHAR_ORIENTS, CrossingTree, validate_tree
 
 __all__ = [
@@ -30,7 +33,7 @@ __all__ = [
 
 
 def _tree_lines(tree, tree_index=None):
-    """The tree's NDJSON lines, formatted a generation's columns at a time."""
+    """The tree's NDJSON lines, one generation's columns at a time, floats from ``float_text``."""
     tail = "" if tree_index is None else f', "tree": {tree_index}'
     durations, starts = tree.timing()
     first_id = 0
@@ -42,15 +45,17 @@ def _tree_lines(tree, tree_index=None):
             parents = np.repeat(np.arange(first_id - tree.z[g - 1].size, first_id),
                                 tree.z[g - 1]).tolist()
         zs = tree.z[g].tolist() if g < tree.depth else itertools.repeat(0, n)
-        timing = itertools.repeat("", n)
-        if durations is not None:
-            timing = (f', "duration": {d!r}, "start_time": {s!r}'
-                      for d, s in zip(durations[g].tolist(), starts[g].tolist()))
-        yield from (f'{{"id": {i}, "parent_id": {p}, "level": {level}, "position": {j}, '
-                    f'"orientation": "{o}", "z": {z}{t}{tail}}}\n'
-                    for i, p, j, o, z, t in zip(
-                        range(first_id, first_id + n), parents, range(n),
-                        np.where(tree.orientations[g] > 0, "+", "-").tolist(), zs, timing))
+        columns = (range(first_id, first_id + n), parents, range(n),
+                   np.where(tree.orientations[g] > 0, "+", "-").tolist(), zs)
+        if durations is None:
+            yield from (f'{{"id": {i}, "parent_id": {p}, "level": {level}, "position": {j}, '
+                        f'"orientation": "{o}", "z": {z}{tail}}}\n'
+                        for i, p, j, o, z in zip(*columns))
+        else:
+            yield from (f'{{"id": {i}, "parent_id": {p}, "level": {level}, "position": {j}, '
+                        f'"orientation": "{o}", "z": {z}, "duration": {d}, "start_time": {s}{tail}}}\n'
+                        for i, p, j, o, z, d, s in zip(
+                            *columns, float_text(durations[g]), float_text(starts[g])))
         first_id += n
 
 

@@ -487,3 +487,42 @@ def test_analyze_rejects_unreadable_sidecar(tmp_path, monkeypatch, sidecar):
     write_ramp(tmp_path / "ramp.csv", n=4)
     (tmp_path / "ramp.json").write_text(sidecar)
     assert run_cli("analyze", "--path", "ramp.csv", "--levels", "0:1") == 2
+
+
+SIM = ("simulate", "--family", "geometric-pairs", "--p", "0.5")
+W_TAIL = ("verify", "w-tail", "--samples", "10")
+
+
+@pytest.mark.parametrize("argv, config", [
+    ((*SIM, "--depth", "3", "--seed", "-1"), None),
+    ((*W_TAIL, "--seed", "-1"), None),
+    ((*W_TAIL, "--workers", "0"), None),
+    ((*W_TAIL, "--workers", "-3"), None),
+    ((*SIM, "--depth", "3"), {"seed": -3}),
+    ((*SIM, "--depth", "3"), {"seed": 1.5}),
+    ((*SIM, "--depth", "3"), {"seed": True}),
+    ((*SIM, "--depth", "3"), {"w_generations": 2.5}),
+    (SIM, {"depth": 3.5}),
+    ((*SIM, "--depth", "3"), {"no_trees": "yes"}),
+    ((*SIM, "--depth", "3"), {"horizon": True}),
+    (W_TAIL, {"workers": 1.5}),
+], ids=["seed-flag", "w-tail-seed-flag", "workers-0", "workers-minus-3", "seed-minus-3",
+        "seed-float", "seed-bool", "w-generations-float", "depth-float", "no-trees-string",
+        "horizon-bool", "workers-float"])
+def test_option_of_the_wrong_type_or_range_is_invalid_config(tmp_path, monkeypatch, capsys,
+                                                             argv, config):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = (*argv, "--config", "cfg.json")
+    assert run_cli(*argv, "--out", "out") == 2
+    assert "INVALID_CONFIG" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == ([tmp_path / "cfg.json"] if config is not None else [])
+
+
+def test_config_null_leaves_the_option_at_its_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"seed": None, "mu": None}))
+    assert run_cli(*SIM, "--depth", "4", "--config", "cfg.json", "--out", "a") == 0
+    assert run_cli(*SIM, "--depth", "4", "--seed", "0", "--out", "b") == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -7,7 +7,8 @@ from scipy import stats
 import cebp.paths
 from cebp.errors import BudgetError, ConfigError
 from cebp.offspring import make_offspring
-from cebp.paths import SimulationConfig, ingest_csv, read_path_csv, simulate, write_path_csv
+from cebp.paths import (SamplePath, SimulationConfig, float_text, ingest_csv, read_path_csv,
+                        simulate, write_path_csv, write_xy_csv)
 from cebp.rng import STREAM_DURATION, substream
 from cebp.tree import UP
 
@@ -178,6 +179,44 @@ def test_csv_round_trip(tmp_path):
     assert back.origin == "simulated"
 
 
+def signed_zero_path():
+    """Values on which a value-keyed dedup would lose the sign of -0.0."""
+    values = np.tile([0.0, -0.0, 0.5, -0.0, 0.0], 4)
+    return SamplePath(times=np.arange(values.size, dtype=np.float64), values=values,
+                      resolution_level=-1, hurst=None, mu=None)
+
+
+@pytest.mark.parametrize("make_path", [
+    lambda: simulate(SimulationConfig(offspring={"family": "geometric-pairs", "p": 0.5},
+                                      depth=7, seed=3)),
+    lambda: simulate(SimulationConfig(offspring={"family": "geometric-pairs", "p": 0.5},
+                                      depth=6, duration_mode="sampled", seed=4)),
+    lambda: simulate(SimulationConfig(offspring={"family": "custom", "pmf": {2: 0.5, 4: 0.5}},
+                                      depth=5, root_mode="tile", target_horizon=3.0, seed=5)),
+    signed_zero_path,
+], ids=["mean", "sampled", "tile", "signed-zero"])
+def test_csv_writer_matches_repr_reference(tmp_path, make_path):
+    path = make_path()
+    write_path_csv(path, tmp_path / "p.csv", tmp_path / "p.json")
+    with open(tmp_path / "p.csv") as fh:
+        written = fh.readlines()
+    assert written == ["time,value\n"] + [
+        f"{t!r},{v!r}\n" for t, v in zip(path.times.tolist(), path.values.tolist())]
+
+
+def test_xy_csv_writes_integers_as_floats(tmp_path):
+    write_xy_csv(tmp_path / "xy.csv", "level,mean", [-10, -9, -9], [0.25, -0.0, 0.25])
+    assert (tmp_path / "xy.csv").read_text() == "level,mean\n-10.0,0.25\n-9.0,-0.0\n-9.0,0.25\n"
+
+
+@pytest.mark.parametrize("values", [
+    [], [0.1], [0.0, -0.0] * 8, np.arange(40) % 3 * 0.1, np.linspace(0, 1, 33),
+    np.linspace(0, 1, 2 * cebp.paths.TEXT_BLOCK + 5),
+], ids=["empty", "one", "signed-zeros", "repeating", "distinct", "distinct-past-two-blocks"])
+def test_float_text_is_repr(values):
+    assert list(float_text(values)) == [repr(x) for x in np.asarray(values, float).tolist()]
+
+
 def test_csv_rejects_shuffled_time(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("time,value\n0.0,0.0\n2.0,1.0\n1.0,2.0\n")
@@ -251,3 +290,10 @@ def test_ingest_rejects_value_steps_that_overflow(tmp_path, anchor, rows):
     with pytest.raises(ConfigError) as err:
         ingest_csv(f, anchor_origin=anchor)
     assert err.value.code == "PARSE_ERROR"
+
+
+@pytest.mark.parametrize("seed", [-1, (3, -2, 0)])
+def test_negative_seed_is_config_error(seed):
+    with pytest.raises(ConfigError) as err:
+        simulate(SimulationConfig(offspring={"family": "geometric-pairs", "p": 0.5}, depth=3, seed=seed))
+    assert err.value.code == "INVALID_CONFIG"

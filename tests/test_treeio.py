@@ -193,6 +193,12 @@ def sampled_tree(depth, root_level=0, seed=8):
     return assign_durations(tree, dist, np.random.default_rng(seed + 1), 6)
 
 
+def mean_tree(depth, seed, **family):
+    dist = make_offspring(**family)
+    tree = expand_tree(dist, UP, depth, np.random.default_rng(seed))
+    return assign_durations(tree, dist, None, 0)
+
+
 def tile_trees():
     config = SimulationConfig(offspring={"family": "geometric-pairs", "p": 0.5}, depth=7,
                               duration_mode="sampled", root_mode="tile",
@@ -206,7 +212,10 @@ def tile_trees():
     lambda: [expand_tree(make_offspring("poisson-pairs", lam=1.5), UP, 4,
                          np.random.default_rng(9), root_level=-2)],
     tile_trees,
-], ids=["sampled-depth-7", "root-level-3", "no-durations-root-level-minus-2", "tile"])
+    lambda: [mean_tree(7, 3, family="geometric-pairs", p=0.5)],
+    lambda: [mean_tree(6, 4, family="custom", pmf={2: 0.5, 4: 0.5})],
+], ids=["sampled-depth-7", "root-level-3", "no-durations-root-level-minus-2", "tile",
+        "mean-depth-7", "mean-custom-mu-3"])
 def test_writer_matches_json_reference(tmp_path, make_trees):
     trees = make_trees()
     path = tmp_path / "trees.ndjson"
