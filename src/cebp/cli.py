@@ -11,6 +11,7 @@ artifact for plotting without extra dependencies.
 """
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -147,8 +148,9 @@ def _write_forest(forest, path):
             fh.writelines(
                 f'{{"end_time": {e}, "level": {level}, "orientation": "{o}", "position": {i}, '
                 f'"start_time": {s}, "subcrossing_count": {c}}}\n'
-                for e, o, i, s, c in zip(text[1:], np.where(rec.orientations > 0, "+", "-").tolist(),
-                                         range(rec.n), text[:-1], rec.subcrossing_counts.tolist()))
+                for e, o, i, s, c in zip(itertools.islice(text, 1, None),
+                                         np.where(rec.orientations > 0, "+", "-").tolist(),
+                                         range(rec.n), text, rec.subcrossing_counts.tolist()))
 
 
 def cmd_analyze(args):

@@ -70,7 +70,7 @@ class IncrementRecords:
         return int(self.plain.size)
 
 
-def _increment_record(t, path, i):
+def _increment_record(t, path):
     rng = substream(path.meta["seed"], STREAM_QUERY)   # (master_seed, STREAM_INCREMENT, i)
     s = rng.uniform(path.times[0], path.times[0] + 0.9 * path.span - t)
     v_s = np.interp(s, path.times, path.values)
@@ -91,8 +91,6 @@ def increment_records(dist, t, n_records, master_seed,
         raise ConfigError(
             "INVALID_CONFIG", f"need 0 < t < 0.9 * horizon {INCREMENT_HORIZON}, got t={t}"
         )
-    if n_records < 1:
-        raise ConfigError("INVALID_CONFIG", f"need n_records >= 1, got {n_records}")
     config = SimulationConfig(
         offspring=dist, depth=depth, duration_mode="mean", root_mode="tile",
         target_horizon=INCREMENT_HORIZON, keep_trees=False,

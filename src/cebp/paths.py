@@ -147,15 +147,18 @@ def simulate(config):
 
 
 def _record_block(config, key, record, lo, hi):
-    return [record(simulate(replace(config, seed=(*key, i))), i) for i in range(lo, hi)]
+    return [record(simulate(replace(config, seed=(*key, i)))) for i in range(lo, hi)]
 
 
 def path_records(config, key, n, record, workers=1):
-    """``record(path, i)`` for the path of each i in range(n), in index order.
+    """``record(path)`` for the path of each i in range(n >= 1), in index order.
 
-    Path i is ``simulate(config)`` under the seed (*key, i), so the list is
-    the same for any ``workers``; with more than one, ``record`` must pickle.
+    Path i is ``simulate(config)`` under the seed (*key, i), kept in
+    ``path.meta["seed"]``, so the list is the same for any ``workers``; with
+    more than one, ``record`` must pickle.
     """
+    if n < 1:
+        raise ConfigError("INVALID_CONFIG", f"need at least 1 path, got {n}")
     blocks = map_blocks(_record_block, n, (config, key, record), workers)
     return [rec for block in blocks for rec in block]
 

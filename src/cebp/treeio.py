@@ -3,18 +3,19 @@
 Records carry (id, parent_id, level, position, orientation, z) plus, from
 ``CrossingTree.timing()``, duration and start_time when the tree has leaf
 durations.  Node ids run generation-major (root first, then generation 1 left
-to right, and so on), which makes the files diffable and lets the reader
-rebuild the arena without a link-resolution pass; the reader checks each
-field's JSON type, each tree with ``validate_tree``, every id and parent_id
-against that layout, and every duration and start_time against what
-``timing()`` derives from the leaf durations, bit for bit.  Floats go through
-Python's shortest round-trip repr, so a file ``write_trees`` wrote reads back
-and writes out again byte for byte; ``paths.float_text`` formats them, once
-per distinct bit pattern in a column that repeats (mean-mode durations) and
-lazily one by one in a mostly-distinct one (start times).  Lines keep the
-``json.dumps`` layout (keys in the order above, then ``tree`` in multi-tree
-files), each built in one f-string; the sha256 pins in
-``tests/test_artifact_oracle.py`` hold those bytes fixed.
+to right, and so on), which makes the files diffable; ``_layout`` alone derives
+a tree's ids, parent ids, positions and leaf z = 0.  The reader accepts a file
+exactly when its records are what ``write_trees`` writes for the trees they
+describe, in any line order: each field has its JSON type, each tree passes
+``validate_tree``, each record equals its ``_layout`` entry, and each duration
+and start_time is, bit for bit, what ``timing()`` derives from the leaf
+durations.  Floats go through Python's shortest round-trip repr, so a file
+``write_trees`` wrote reads back and writes out again byte for byte;
+``paths.float_text`` formats them, once per distinct bit pattern in a column
+that repeats (mean-mode durations) and lazily one by one in a mostly-distinct
+one (start times).  Lines keep the ``json.dumps`` layout (keys in the order
+above, then ``tree`` in multi-tree files), each built in one f-string; the
+sha256 pins in ``tests/test_artifact_oracle.py`` hold those bytes fixed.
 """
 
 import itertools
@@ -32,20 +33,24 @@ __all__ = [
 ]
 
 
+def _layout(tree):
+    """Per generation, the (level, ids, parent ids, positions, z) columns ``write_trees`` writes."""
+    first_id = 0
+    for g, orient in enumerate(tree.orientations):
+        n = orient.size
+        parents = (None,) if g == 0 else np.repeat(
+            np.arange(first_id - tree.z[g - 1].size, first_id), tree.z[g - 1]).tolist()
+        zs = tree.z[g].tolist() if g < tree.depth else itertools.repeat(0, n)
+        yield tree.root_level - g, range(first_id, first_id + n), parents, range(n), zs
+        first_id += n
+
+
 def _tree_lines(tree, tree_index=None):
     """The tree's NDJSON lines, one generation's columns at a time, floats from ``float_text``."""
     tail = "" if tree_index is None else f', "tree": {tree_index}'
     durations, starts = tree.timing()
-    first_id = 0
-    for g in range(tree.depth + 1):
-        n = tree.orientations[g].size
-        level = tree.root_level - g
-        parents = ["null"] * n
-        if g > 0:
-            parents = np.repeat(np.arange(first_id - tree.z[g - 1].size, first_id),
-                                tree.z[g - 1]).tolist()
-        zs = tree.z[g].tolist() if g < tree.depth else itertools.repeat(0, n)
-        columns = (range(first_id, first_id + n), parents, range(n),
+    for g, (level, ids, parents, positions, zs) in enumerate(_layout(tree)):
+        columns = (ids, ("null",) if g == 0 else parents, positions,
                    np.where(tree.orientations[g] > 0, "+", "-").tolist(), zs)
         if durations is None:
             yield from (f'{{"id": {i}, "parent_id": {p}, "level": {level}, "position": {j}, '
@@ -56,7 +61,6 @@ def _tree_lines(tree, tree_index=None):
                         f'"orientation": "{o}", "z": {z}, "duration": {d}, "start_time": {s}{tail}}}\n'
                         for i, p, j, o, z, d, s in zip(
                             *columns, float_text(durations[g]), float_text(starts[g])))
-        first_id += n
 
 
 def _malformed(line_no, why):
@@ -78,55 +82,39 @@ _FIELDS = {
 
 
 def _build_tree(rows):
-    root_level = max(rec["level"] for rec, _ in rows)
-    by_level = {}
-    for rec, line_no in rows:
-        by_level.setdefault(root_level - rec["level"], []).append((rec, line_no))
-    depth = max(by_level)
-    ordered, orientations, zs = [], [], []
+    last_line = rows[-1][1]
     with_durations = "duration" in rows[0][0]
-    for g in range(depth + 1):
-        if g not in by_level:
-            raise _malformed(rows[-1][1], f"no records at level {root_level - g}")
-        recs = sorted(by_level[g], key=lambda rl: rl[0]["position"])
-        for want, (rec, line_no) in enumerate(recs):
-            if rec["position"] != want:
-                raise _malformed(line_no, f"positions at level {rec['level']} are not 0..{len(recs) - 1}")
-            if ("duration" in rec, "start_time" in rec) != (with_durations,) * 2:
-                raise _malformed(line_no, "inconsistent duration fields across records")
-        ordered += recs
-        orientations.append(np.array(
-            [CHAR_ORIENTS[rec["orientation"]] for rec, _ in recs], dtype=np.int8
-        ))
-        if g < depth or any(rec["z"] for rec, _ in recs):
-            zs.append(np.array([rec["z"] for rec, _ in recs], dtype=np.int64))
-    if len(zs) == depth + 1:        # leaves carried nonzero z
-        raise _malformed(rows[-1][1], "leaf records must have z = 0")
+    for rec, line_no in rows:
+        if ("duration" in rec, "start_time" in rec) != (with_durations,) * 2:
+            raise _malformed(line_no, "inconsistent duration fields across records")
+    rows.sort(key=lambda rl: (-rl[0]["level"], rl[0]["position"]))
+    gens = [[rec for rec, _ in grp] for _, grp in itertools.groupby(rows, lambda rl: rl[0]["level"])]
+    orientations = [np.array([CHAR_ORIENTS[rec["orientation"]] for rec in gen], dtype=np.int8)
+                    for gen in gens]
     if with_durations:
-        stored = np.array([[rec[key] for rec, _ in ordered] for key in ("duration", "start_time")],
+        stored = np.array([[rec[key] for rec, _ in rows] for key in ("duration", "start_time")],
                           dtype=np.float64)
-    tree = CrossingTree(root_level=root_level, orientations=orientations, z=zs,
+    tree = CrossingTree(root_level=gens[0][0]["level"], orientations=orientations,
+                        z=[np.array([rec["z"] for rec in gen], dtype=np.int64) for gen in gens[:-1]],
                         leaf_durations=stored[0, -orientations[-1].size:] if with_durations else None)
     why = validate_tree(tree)
     if why is not None:
-        raise _malformed(rows[-1][1], why)
-    # the arena is valid, so its children counts give every node's parent id
-    ids, parents = (np.fromiter((rec.get(key) for rec, _ in ordered), dtype=object,
-                                count=len(ordered)) for key in ("id", "parent_id"))
-    want_parents = np.concatenate([[None], np.repeat(
-        np.arange(ids.size), np.concatenate([*zs, np.zeros(orientations[-1].size, np.int64)]))])
-    bad = np.flatnonzero((ids != np.arange(ids.size)) | (parents != want_parents))
-    if bad.size:
-        k = int(bad[0])
-        raise _malformed(ordered[k][1], f"id {ids[k]!r} with parent_id {parents[k]!r} breaks "
-                         f"the generation-major layout (want id {k}, parent_id {want_parents[k]!r})")
+        raise _malformed(last_line, why)
+    # a valid arena holds as many records per generation as its layout, so zip pairs them all
+    layout = itertools.chain.from_iterable(
+        zip(itertools.repeat(level), *columns) for level, *columns in _layout(tree))
+    for (rec, line_no), want in zip(rows, layout):
+        got = tuple(map(rec.get, ("level", "id", "parent_id", "position", "z")))
+        if got != want:
+            raise _malformed(line_no, f"(level, id, parent_id, position, z) = {got}, "
+                             f"where write_trees writes {want}")
     if with_durations:
         # every stored duration and start time must be, bit for bit, what the leaves give
         want = np.array([np.concatenate(column) for column in tree.timing()])
         bad = np.flatnonzero(np.any(stored.view(np.int64) != want.view(np.int64), axis=0))
         if bad.size:
             k = int(bad[0])
-            raise _malformed(ordered[k][1], f"duration and start_time {stored[:, k].tolist()} are "
+            raise _malformed(rows[k][1], f"duration and start_time {stored[:, k].tolist()} are "
                              f"not the leaf-duration sums {want[:, k].tolist()}")
     return tree
 

@@ -149,7 +149,8 @@ def verify_increments(family=None, t=0.045, n_records=100_000, depth=7,
 # ---------------------------------------------------------------------------
 # remaining time
 
-def _remaining_record(level, queries, seed, path, i):
+def _remaining_record(level, queries, path):
+    seed, _, i = path.meta["seed"]      # (seed, STREAM_PATH, i)
     return remaining_time_records(path, level=level, n_queries=queries,
                                   master_seed=seed, query_index=i)
 
@@ -162,7 +163,7 @@ def verify_remaining_time(family=None, depth=9, level=-6, n_paths=10,
                               duration_mode="sampled", keep_trees=False)
     fit = remaining_time_tail(path_records(
         config, (seed, STREAM_PATH), n_paths,
-        partial(_remaining_record, level, queries_per_path, seed), workers,
+        partial(_remaining_record, level, queries_per_path), workers,
     ))
     ok = abs(fit.slope - fit.target_exponent) <= REMAINING_TOL
     return {
@@ -188,7 +189,7 @@ MODULUS_SPECS = (
 )
 
 
-def _modulus_record(l_range, path, i):
+def _modulus_record(l_range, path):
     return modulus_ratio(path, l_range).ratios
 
 
@@ -204,8 +205,6 @@ def verify_modulus(specs=MODULUS_SPECS, n_seeds=50, l_range=(4, 12), seed=0, wor
     The pooled per-seed extremes are reported as diagnostics.
     """
     l_lo, l_hi = level_range(l_range)
-    if n_seeds < 1:
-        raise ConfigError("INVALID_CONFIG", f"need n_seeds >= 1, got {n_seeds}")
     results = []
     for k, spec in enumerate(specs):
         dist = make_offspring(**spec["family"])

@@ -526,3 +526,27 @@ def test_config_null_leaves_the_option_at_its_default(tmp_path, monkeypatch):
     assert run_cli(*SIM, "--depth", "4", "--config", "cfg.json", "--out", "a") == 0
     assert run_cli(*SIM, "--depth", "4", "--seed", "0", "--out", "b") == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--path", "ramp.csv", "--levels", "3"),
+    ("analyze", "--path", "ramp.csv", "--levels", "0:-3"),
+    ("simulate", "--depth", "3"),
+    ("verify", "modulus", "--H", "0.7"),
+    ("verify",),
+], ids=["levels-one-number", "levels-empty", "simulate-no-family", "modulus-no-family-at-H",
+        "verify-no-suite"])
+def test_incomplete_request_is_invalid_config(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_ramp(tmp_path / "ramp.csv", n=64, step=1 / 64)
+    assert run_cli(*argv, "--out", "out") == 2
+    assert "INVALID_CONFIG" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "ramp.csv"]
+
+
+def test_tiling_past_the_node_budget_is_budget_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*SIM, "--depth", "4", "--root-mode", "tile", "--horizon", "50",
+                   "--node-budget", "2000", "--out", "out") == 3
+    assert "NODE_BUDGET_EXCEEDED: tiling past horizon 50" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

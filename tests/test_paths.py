@@ -7,8 +7,8 @@ from scipy import stats
 import cebp.paths
 from cebp.errors import BudgetError, ConfigError
 from cebp.offspring import make_offspring
-from cebp.paths import (SamplePath, SimulationConfig, float_text, ingest_csv, read_path_csv,
-                        simulate, write_path_csv, write_xy_csv)
+from cebp.paths import (SamplePath, SimulationConfig, float_text, ingest_csv, path_records,
+                        read_path_csv, simulate, write_path_csv, write_xy_csv)
 from cebp.rng import STREAM_DURATION, substream
 from cebp.tree import UP
 
@@ -297,3 +297,18 @@ def test_negative_seed_is_config_error(seed):
     with pytest.raises(ConfigError) as err:
         simulate(SimulationConfig(offspring={"family": "geometric-pairs", "p": 0.5}, depth=3, seed=seed))
     assert err.value.code == "INVALID_CONFIG"
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_path_records_refuses_fewer_than_one_path(monkeypatch, n):
+    monkeypatch.setattr(cebp.paths, "simulate", lambda config: pytest.fail("a path was simulated"))
+    config = SimulationConfig(offspring={"family": "geometric-pairs", "p": 0.5}, depth=3)
+    with pytest.raises(ConfigError) as err:
+        path_records(config, (0,), n, len)
+    assert err.value.code == "INVALID_CONFIG"
+
+
+def test_a_record_sees_its_path_and_seed():
+    config = SimulationConfig(offspring={"family": "geometric-pairs", "p": 0.5}, depth=3)
+    seeds = path_records(config, (5, 6), 3, lambda path: path.meta["seed"])
+    assert seeds == [(5, 6, 0), (5, 6, 1), (5, 6, 2)]

@@ -6,6 +6,7 @@ from cebp.offspring import make_offspring
 from cebp.tree import (
     DOWN,
     UP,
+    CrossingTree,
     _expand_generation,
     assign_durations,
     expand_tree,
@@ -217,4 +218,36 @@ def test_timing_without_leaf_durations_is_none():
 def test_validator_checks_the_leaf_durations(leaves, why):
     tree = expand_tree(make_offspring("fixed-pairs", b=2), UP, 1, np.random.default_rng(20))
     tree.leaf_durations = np.array(leaves)
+    assert validate_tree(tree) == why
+
+
+@pytest.mark.parametrize("depth, root", [(-1, UP), (3, 0)])
+def test_expand_refuses_a_negative_depth_or_a_zero_root(depth, root):
+    with pytest.raises(ConfigError) as err:
+        expand_tree(make_offspring("fixed-pairs", b=2), root, depth, np.random.default_rng(21))
+    assert err.value.code == "INVALID_Z"
+
+
+def test_expand_budget_trips_while_growing():
+    # mu^5 = 1024 passes the 4x pre-check against 600 nodes; the drawn tree outgrows it
+    dist = make_offspring("geometric-pairs", p=0.5)
+    with pytest.raises(BudgetError) as err:
+        expand_tree(dist, UP, 5, np.random.default_rng(0), node_budget=600)
+    assert err.value.code == "NODE_BUDGET_EXCEEDED"
+    assert "tree grew past 600 nodes" in str(err.value)
+
+
+def arena(orientations, z):
+    return CrossingTree(root_level=0, z=[np.array(c, dtype=np.int64) for c in z],
+                        orientations=[np.array(o, dtype=np.int8) for o in orientations])
+
+
+@pytest.mark.parametrize("tree, why", [
+    (arena([[UP], [UP, UP]], []), "expected 1 children-count arrays, found 0"),
+    (arena([[2]], []), "generation 0: orientations must be +1/-1"),
+    (arena([[UP], [UP, UP]], [[2, 2]]), "generation 0: 1 nodes but 2 children counts"),
+    (arena([[UP], [DOWN, DOWN]], [[2]]), "generation 0: a direct pair does not match its parent"),
+    (arena([[UP], [UP, UP]], [[2]]), None),
+], ids=["z-arrays", "orientation-2", "z-size", "direct-pair", "valid"])
+def test_validator_checks_hand_built_arenas(tree, why):
     assert validate_tree(tree) == why

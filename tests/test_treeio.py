@@ -6,8 +6,8 @@ import pytest
 from cebp.errors import ConfigError
 from cebp.offspring import make_offspring
 from cebp.paths import SimulationConfig, simulate
-from cebp.tree import DOWN, UP, assign_durations, expand_tree, validate_tree
-from cebp.treeio import read_trees, write_trees
+from cebp.tree import CHAR_ORIENTS, DOWN, UP, CrossingTree, assign_durations, expand_tree, validate_tree
+from cebp.treeio import _FIELDS, _malformed, read_trees, write_trees
 
 
 def trees_equal(a, b):
@@ -284,3 +284,167 @@ def test_field_of_the_wrong_json_type_rejected(tmp_path, index, key, value):
         read_text("".join(json.dumps(rec) + "\n" for rec in recs), tmp_path)
     assert err.value.code == "MALFORMED_RECORD"
     assert f"line {index + 1}" in str(err.value)
+
+
+@pytest.mark.parametrize("edit, line", [
+    (lambda recs: recs[2].update(position=2), 3),
+    (lambda recs: recs[2].update(position=0), 3),
+    (lambda recs: [recs[0].pop(key) for key in ("duration", "start_time")], 2),
+    (lambda recs: [rec.update(level=-2) for rec in recs[1:]], 2),
+    (lambda recs: recs[2].pop("duration"), 3),
+], ids=["position-gap", "duplicate-position", "root-without-durations", "missing-level",
+        "no-duration"])
+def test_records_off_the_writer_layout_rejected(tmp_path, edit, line):
+    recs = [dict(rec) for rec in THREE_NODES]
+    edit(recs)
+    with pytest.raises(ConfigError) as err:
+        read_text("".join(json.dumps(rec) + "\n" for rec in recs), tmp_path)
+    assert err.value.code == "MALFORMED_RECORD"
+    assert f"line {line}:" in str(err.value)
+
+
+def reference_build_tree(rows):
+    """The reader before it compared records with ``_layout``, kept as its reference."""
+    root_level = max(rec["level"] for rec, _ in rows)
+    by_level = {}
+    for rec, line_no in rows:
+        by_level.setdefault(root_level - rec["level"], []).append((rec, line_no))
+    depth = max(by_level)
+    ordered, orientations, zs = [], [], []
+    with_durations = "duration" in rows[0][0]
+    for g in range(depth + 1):
+        if g not in by_level:
+            raise _malformed(rows[-1][1], f"no records at level {root_level - g}")
+        recs = sorted(by_level[g], key=lambda rl: rl[0]["position"])
+        for want, (rec, line_no) in enumerate(recs):
+            if rec["position"] != want:
+                raise _malformed(line_no, f"positions at level {rec['level']} are not 0..{len(recs) - 1}")
+            if ("duration" in rec, "start_time" in rec) != (with_durations,) * 2:
+                raise _malformed(line_no, "inconsistent duration fields across records")
+        ordered += recs
+        orientations.append(np.array(
+            [CHAR_ORIENTS[rec["orientation"]] for rec, _ in recs], dtype=np.int8
+        ))
+        if g < depth or any(rec["z"] for rec, _ in recs):
+            zs.append(np.array([rec["z"] for rec, _ in recs], dtype=np.int64))
+    if len(zs) == depth + 1:        # leaves carried nonzero z
+        raise _malformed(rows[-1][1], "leaf records must have z = 0")
+    if with_durations:
+        stored = np.array([[rec[key] for rec, _ in ordered] for key in ("duration", "start_time")],
+                          dtype=np.float64)
+    tree = CrossingTree(root_level=root_level, orientations=orientations, z=zs,
+                        leaf_durations=stored[0, -orientations[-1].size:] if with_durations else None)
+    why = validate_tree(tree)
+    if why is not None:
+        raise _malformed(rows[-1][1], why)
+    # the arena is valid, so its children counts give every node's parent id
+    ids, parents = (np.fromiter((rec.get(key) for rec, _ in ordered), dtype=object,
+                                count=len(ordered)) for key in ("id", "parent_id"))
+    want_parents = np.concatenate([[None], np.repeat(
+        np.arange(ids.size), np.concatenate([*zs, np.zeros(orientations[-1].size, np.int64)]))])
+    bad = np.flatnonzero((ids != np.arange(ids.size)) | (parents != want_parents))
+    if bad.size:
+        k = int(bad[0])
+        raise _malformed(ordered[k][1], f"id {ids[k]!r} with parent_id {parents[k]!r} breaks "
+                         f"the generation-major layout (want id {k}, parent_id {want_parents[k]!r})")
+    if with_durations:
+        # every stored duration and start time must be, bit for bit, what the leaves give
+        want = np.array([np.concatenate(column) for column in tree.timing()])
+        bad = np.flatnonzero(np.any(stored.view(np.int64) != want.view(np.int64), axis=0))
+        if bad.size:
+            k = int(bad[0])
+            raise _malformed(ordered[k][1], f"duration and start_time {stored[:, k].tolist()} are "
+                             f"not the leaf-duration sums {want[:, k].tolist()}")
+    return tree
+
+
+def reference_read_trees(path):
+    groups = {}
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line.decode("utf-8"))
+            except ValueError as exc:   # not UTF-8, not JSON, or an integer too long to convert
+                raise _malformed(line_no, f"not valid UTF-8 JSON ({getattr(exc, 'msg', exc)})") from exc
+            if not isinstance(rec, dict):
+                raise _malformed(line_no, "a record must be a JSON object")
+            for key in ("id", "level", "position", "orientation", "z"):
+                if key not in rec:
+                    raise _malformed(line_no, f"missing field {key!r}")
+            for key, (ok, what) in _FIELDS.items():
+                if key in rec and not ok(rec[key]):
+                    raise _malformed(line_no, f"{key} must be {what}, got {rec[key]!r}")
+            groups.setdefault(rec.get("tree", 0), []).append((rec, line_no))
+    if not groups:
+        raise _malformed(1, "empty tree stream")
+    return [reference_build_tree(groups[key]) for key in sorted(groups)]
+
+
+def mutate(recs, rng):
+    """One or two seeded edits of a tree file's records: fields, keys, lines and their order."""
+    recs = [dict(rec) for rec in recs]
+    for _ in range(rng.integers(1, 3)):
+        kind = rng.integers(7)
+        a, b = rng.integers(len(recs), size=2)
+        key = str(rng.choice(sorted(set(recs[a]) | {"parent_id"})))
+        if kind == 0:
+            pool = [-1, 0, 1, 2, 3, 4, 7, None, True, "+", "-", 0.5, recs[b].get(key)]
+            if isinstance(recs[a].get(key), int):
+                pool += [recs[a][key] - 1, recs[a][key] + 1]
+            if isinstance(recs[a].get(key), float):
+                pool.append(float(np.nextafter(recs[a][key], np.inf)))
+            recs[a][key] = pool[rng.integers(len(pool))]
+        elif kind == 1:
+            recs[a].pop(key, None)
+        elif kind == 2 and len(recs) > 1:
+            del recs[a]
+        elif kind == 3:
+            recs.insert(b, dict(recs[a]))
+        elif kind == 4:
+            recs = [recs[i] for i in rng.permutation(len(recs))]
+        elif kind == 5:
+            recs[a], recs[b] = recs[b], recs[a]
+        elif key in recs[b]:
+            recs[a][key], recs[b][key] = recs[b][key], recs[a].get(key)
+    return recs
+
+
+def outcome(read, path):
+    try:
+        return "ok", read(path)
+    except Exception as exc:        # any raise, so a raw one shows as a difference
+        return type(exc).__name__, getattr(exc, "code", None)
+
+
+def test_reader_accepts_what_the_reference_reader_accepts(tmp_path):
+    dist = make_offspring("geometric-pairs", p=0.5)
+    bases = [
+        [expand_tree(make_offspring("fixed-pairs", b=2), UP, 2, np.random.default_rng(30))],
+        [mean_tree(2, 31, family="geometric-pairs", p=0.5)],
+        [sampled_tree(2, root_level=1, seed=32)],
+        [assign_durations(expand_tree(dist, DOWN, 0, np.random.default_rng(33)), dist, None, 0)],
+        [mean_tree(1, 34, family="fixed-pairs", b=2), sampled_tree(1, seed=35)],
+    ]
+    base_recs = []
+    for i, trees in enumerate(bases):
+        path = tmp_path / f"base{i}.ndjson"
+        write_trees(trees, path)
+        base_recs.append([json.loads(line) for line in path.read_text().splitlines()])
+    rng = np.random.default_rng(36)
+    counts = {"ok": 0, "rejected": 0}
+    for k in range(4000):
+        path = tmp_path / f"{k}.ndjson"
+        recs = mutate(base_recs[k % len(base_recs)], rng)
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+        got, want = outcome(read_trees, path), outcome(reference_read_trees, path)
+        path.unlink()       # now: thousands of files left to the session cleanup are slow to remove
+        if want[0] == "ok":
+            assert got[0] == "ok", (k, recs, got)
+            assert len(got[1]) == len(want[1]) and all(map(trees_equal, got[1], want[1])), (k, recs)
+        else:
+            assert got == want, (k, recs)
+        counts["ok" if want[0] == "ok" else "rejected"] += 1
+    assert min(counts.values()) > 400, counts
