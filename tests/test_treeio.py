@@ -440,7 +440,7 @@ def test_reader_accepts_what_the_reference_reader_accepts(tmp_path):
         recs = mutate(base_recs[k % len(base_recs)], rng)
         path.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
         got, want = outcome(read_trees, path), outcome(reference_read_trees, path)
-        path.unlink()       # now: thousands of files left to the session cleanup are slow to remove
+        path.unlink()       # now: thousands of files left for pytest to clean up are slow to remove
         if want[0] == "ok":
             assert got[0] == "ok", (k, recs, got)
             assert len(got[1]) == len(want[1]) and all(map(trees_equal, got[1], want[1])), (k, recs)
