@@ -3,15 +3,17 @@
 W is the limit of the population at generation k normed by mu^k.  ``w_chain``
 runs the population chain in aggregate: one negative-binomial / Poisson /
 binomial-split draw per generation instead of one draw per individual, which
-is exact in law and makes k = 12 with a million samples cheap.  W samples and
-leaf durations (mean mode is its k = 0 case) both draw through it.
+is exact in law and makes k = 12 with a million samples cheap.  ``chain_blocks``
+runs it once per block, on the substream (*key, b) of block b, for W samples
+and sampled leaf durations alike, and joins the blocks in order.
 
-Reproducibility contract: block b of W_BLOCK samples is one vectorized chain on
-the substream keyed (STREAM_W, b) under the master seed, and sample i comes from
-block i // W_BLOCK, so any chunking of the index range over any number of
-workers yields bit-identical ensembles.
+Reproducibility contract: block b of W_BLOCK samples is keyed (STREAM_W, b)
+under the master seed, and sample i comes from block i // W_BLOCK, so neither
+the chunking of the index range, nor the worker or thread count, changes a bit.
 """
 
+import os
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +21,9 @@ import numpy as np
 from .errors import BudgetError, ConfigError
 from .rng import STREAM_W, substream
 
-__all__ = ["W_BLOCK", "WEnsemble", "sample_W", "sample_w_range", "w_chain"]
+__all__ = ["W_BLOCK", "WEnsemble", "chain_blocks", "sample_W", "sample_w_range", "w_chain"]
 W_BLOCK = 1024   # a constant, never a function of workers: it fixes every sample's stream
+POOL_CHAINS = 2 ** 15   # fewer chains in all draw faster on one thread than a pool starts
 
 
 @dataclass
@@ -48,21 +51,39 @@ def check_depth(dist, generations):
 
 
 def w_chain(dist, rng, counts, generations):
-    """``counts`` grown for ``generations`` generations, over mu^k; zero draws nothing."""
-    if generations < 0:
-        raise ConfigError("INVALID_CONFIG", f"w_generations must be >= 0, got {generations}")
-    check_depth(dist, generations)
+    """``counts`` grown for ``generations`` generations, over mu^k; ``chain_blocks`` checks k."""
     for _ in range(generations):
         counts = dist.population_step(rng, counts)
     return counts / dist.mu ** generations
 
 
+def chain_blocks(dist, generations, key, first, sizes):
+    """``w_chain`` from ``sizes[j]`` ones on the substream (*key, first + j), joined in order.
+
+    Blocks of at least POOL_CHAINS chains in all run on a per-call pool, one
+    thread per CPU this process may run on (numpy releases the GIL while it
+    draws), so no thread outlives the call into a forked worker.
+    """
+    if generations < 0:
+        raise ConfigError("INVALID_CONFIG", f"w_generations must be >= 0, got {generations}")
+    check_depth(dist, generations)
+
+    def block(b, size):
+        return w_chain(dist, substream(*key, b), np.ones(size, dtype=np.int64), generations)
+
+    blocks = range(first, first + len(sizes))
+    if sum(sizes) < POOL_CHAINS:
+        return np.concatenate([np.empty(0), *map(block, blocks, sizes)])
+    with futures.ThreadPoolExecutor(min(len(sizes), len(os.sched_getaffinity(0)))) as pool:
+        return np.concatenate(list(pool.map(block, blocks, sizes)))
+
+
 def sample_w_range(dist, generations, start, stop, master_seed):
     """W samples for indices [start, stop), cut from the blocks that cover them."""
-    first, ones = start // W_BLOCK, np.ones(W_BLOCK, dtype=np.int64)
-    blocks = [w_chain(dist, substream(master_seed, STREAM_W, b), ones, generations)
-              for b in range(first, -(-stop // W_BLOCK))]
-    return np.concatenate([np.empty(0), *blocks])[start - first * W_BLOCK:stop - first * W_BLOCK]
+    first = start // W_BLOCK
+    sizes = [W_BLOCK] * (-(-stop // W_BLOCK) - first)
+    samples = chain_blocks(dist, generations, (master_seed, STREAM_W), first, sizes)
+    return samples[start - first * W_BLOCK:stop - first * W_BLOCK]
 
 
 def sample_W(dist, generations, count, seed):

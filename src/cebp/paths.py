@@ -102,8 +102,7 @@ def _one_tree(dist, config, index):
         node_budget=config.node_budget,
     )
     k = config.w_generations if config.duration_mode == "sampled" else 0
-    rng = substream(config.seed, STREAM_DURATION, index) if k else None   # k = 0 draws nothing
-    return assign_durations(tree, dist, rng, k)
+    return assign_durations(tree, dist, (config.seed, STREAM_DURATION, index), k)
 
 
 def simulate(config):

@@ -22,13 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import w_chain
+from .branching import chain_blocks
 from .errors import BudgetError, ConfigError
 
 __all__ = [
     "UP",
     "DOWN",
     "DEFAULT_NODE_BUDGET",
+    "LEAF_BLOCK",
     "CrossingTree",
     "expand_tree",
     "assign_durations",
@@ -39,6 +40,7 @@ UP = 1
 DOWN = -1
 
 DEFAULT_NODE_BUDGET = 10 ** 7
+LEAF_BLOCK = 2 ** 14    # leaves per keyed block of sampled durations: it fixes every leaf's stream
 
 CHAR_ORIENTS = {"+": UP, "-": DOWN}
 
@@ -139,19 +141,20 @@ def expand_tree(dist, root_orientation, depth, rng, node_budget=DEFAULT_NODE_BUD
     return CrossingTree(root_level=root_level, orientations=orientations, z=zs)
 
 
-def assign_durations(tree, dist, rng, w_generations):
+def assign_durations(tree, dist, key, w_generations):
     """Set the leaf durations; returns the same tree, updated.
 
     Each leaf lasts mu**(leaf level) times an independent approximate-W draw
-    of ``w_generations`` generations (one aggregated chain per leaf,
-    vectorized over the leaf array).  Zero generations is mean mode: every
-    leaf lasts exactly mu**(leaf level), and ``rng`` is unused.
-    ``CrossingTree.timing`` derives every other generation's durations and
-    start times from the leaves.
+    of ``w_generations`` generations.  The leaves are drawn in blocks of
+    LEAF_BLOCK (the last one partial), block b as one chain on the substream
+    (*key, b).  Zero generations is mean mode: every leaf lasts exactly
+    mu**(leaf level), and no stream opens.  ``CrossingTree.timing`` derives
+    every other generation's durations and start times from the leaves.
     """
-    leaf_scale = float(dist.mu) ** (tree.root_level - tree.depth)
-    counts = np.ones(tree.orientations[-1].size, dtype=np.int64)
-    tree.leaf_durations = leaf_scale * w_chain(dist, rng, counts, w_generations)
+    n = tree.orientations[-1].size
+    w = np.ones(n) if w_generations == 0 else chain_blocks(
+        dist, w_generations, key, 0, np.diff(np.r_[0:n:LEAF_BLOCK, n]))
+    tree.leaf_durations = float(dist.mu) ** (tree.root_level - tree.depth) * w
     return tree
 
 

@@ -20,6 +20,7 @@ sha256 pins in ``tests/test_artifact_oracle.py`` hold those bytes fixed.
 
 import itertools
 import json
+import re
 
 import numpy as np
 
@@ -82,24 +83,25 @@ _FIELDS = {
 
 
 def _build_tree(rows):
-    last_line = rows[-1][1]
     with_durations = "duration" in rows[0][0]
     for rec, line_no in rows:
         if ("duration" in rec, "start_time" in rec) != (with_durations,) * 2:
             raise _malformed(line_no, "inconsistent duration fields across records")
     rows.sort(key=lambda rl: (-rl[0]["level"], rl[0]["position"]))
-    gens = [[rec for rec, _ in grp] for _, grp in itertools.groupby(rows, lambda rl: rl[0]["level"])]
-    orientations = [np.array([CHAR_ORIENTS[rec["orientation"]] for rec in gen], dtype=np.int8)
+    gens = [list(grp) for _, grp in itertools.groupby(rows, lambda rl: rl[0]["level"])]
+    orientations = [np.array([CHAR_ORIENTS[rec["orientation"]] for rec, _ in gen], dtype=np.int8)
                     for gen in gens]
     if with_durations:
         stored = np.array([[rec[key] for rec, _ in rows] for key in ("duration", "start_time")],
                           dtype=np.float64)
-    tree = CrossingTree(root_level=gens[0][0]["level"], orientations=orientations,
-                        z=[np.array([rec["z"] for rec in gen], dtype=np.int64) for gen in gens[:-1]],
+    tree = CrossingTree(root_level=gens[0][0][0]["level"], orientations=orientations,
+                        z=[np.array([rec["z"] for rec, _ in gen], dtype=np.int64) for gen in gens[:-1]],
                         leaf_durations=stored[0, -orientations[-1].size:] if with_durations else None)
     why = validate_tree(tree)
-    if why is not None:
-        raise _malformed(last_line, why)
+    if why is not None:     # reported at the first record of the generation it names
+        named = re.match(r"generation (\d+)", why)
+        g = int(named[1]) if named else 0 if why.startswith("root") else -1    # -1: the leaves
+        raise _malformed(min(line_no for _, line_no in gens[g]), why)
     # a valid arena holds as many records per generation as its layout, so zip pairs them all
     layout = itertools.chain.from_iterable(
         zip(itertools.repeat(level), *columns) for level, *columns in _layout(tree))

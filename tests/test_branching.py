@@ -1,14 +1,17 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import logsumexp
 
-from cebp.branching import W_BLOCK, sample_W, sample_w_range
+from cebp.branching import W_BLOCK, sample_W, sample_w_range, w_chain
 from cebp.errors import BudgetError, ConfigError
 from cebp.offspring import make_offspring
-from cebp.tree import UP, assign_durations, expand_tree
+from cebp.rng import STREAM_DURATION, substream
+from cebp.tree import LEAF_BLOCK, UP, assign_durations, expand_tree
 from cebp.verify import verify_w_tail
 
 
@@ -112,10 +115,45 @@ def test_depth_overflow_keeps_headroom_above_the_mean():
     assert err.value.code == "DEPTH_OVERFLOW"
     tree = expand_tree(dist, UP, 2, np.random.default_rng(0))
     with pytest.raises(BudgetError) as err:
-        assign_durations(tree, dist, np.random.default_rng(1), 33)
+        assign_durations(tree, dist, (1,), 33)
     assert err.value.code == "DEPTH_OVERFLOW"
     # 8^12 = 2^36, the deepest chain the suites use, stays allowed
     assert sample_W(make_offspring("geometric-pairs", p=0.25), 12, 2, 0).samples.size == 2
+
+
+HALF = make_offspring("geometric-pairs", p=0.5)
+
+
+def blocked_root(dist, k, seed=0):
+    """A depth-8 root, 54,656 leaves at p = 1/2 (4 LEAF_BLOCKs, the last partial), and its key."""
+    tree = expand_tree(dist, UP, 8, np.random.default_rng(5))
+    key = (seed, STREAM_DURATION, 0)
+    return assign_durations(tree, dist, key, k), key
+
+
+def test_leaf_durations_are_w_chains_over_keyed_blocks():
+    tree, key = blocked_root(HALF, 6)
+    n = tree.orientations[-1].size
+    assert n // LEAF_BLOCK == 3 and n % LEAF_BLOCK
+    reference = [w_chain(HALF, substream(*key, b), np.ones(min(LEAF_BLOCK, n - lo), dtype=np.int64), 6)
+                 for b, lo in enumerate(range(0, n, LEAF_BLOCK))]
+    assert np.array_equal(tree.leaf_durations, HALF.mu ** -8 * np.concatenate(reference))
+
+
+def test_leaf_durations_do_not_depend_on_the_thread_count(monkeypatch):
+    threaded = blocked_root(HALF, 6)[0].leaf_durations
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert np.array_equal(blocked_root(HALF, 6)[0].leaf_durations, threaded)
+
+
+def test_depth_overflow_is_raised_before_a_thread_starts(monkeypatch):
+    def no_thread(self):
+        raise AssertionError("a thread started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    with pytest.raises(BudgetError) as err:
+        blocked_root(HALF, 33)
+    assert err.value.code == "DEPTH_OVERFLOW"
 
 
 # Exact-law oracle: E exp(-lam W_k) = f^(k)(exp(-lam / mu^k)), f the pgf of Z.
@@ -145,16 +183,27 @@ def transform_z(samples, phi, phi_twice):
     return empirical, se
 
 
+def sampled_w(dist, k, seed):
+    return sample_W(dist, k, ORACLE_SAMPLES, seed).samples
+
+
+def leaf_w(dist, k, seed):
+    """W_k as the leaf durations of ``blocked_root`` times mu^depth, across its block seams."""
+    tree = blocked_root(dist, k, seed)[0]
+    return tree.leaf_durations * dist.mu ** tree.depth
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("spec", [
-    {"family": "geometric-pairs", "p": 0.25},
-    {"family": "poisson-pairs", "lam": 1.0},
-    {"family": "fixed-pairs", "b": 2},
-    {"family": "custom", "pmf": {2: 0.5, 4: 0.3, 8: 0.2}},
-], ids=["geometric", "poisson", "fixed", "custom"])
-def test_w_k_matches_its_exact_laplace_transform(spec, seed):
+@pytest.mark.parametrize("spec, draw", [
+    ({"family": "geometric-pairs", "p": 0.25}, sampled_w),
+    ({"family": "poisson-pairs", "lam": 1.0}, sampled_w),
+    ({"family": "fixed-pairs", "b": 2}, sampled_w),
+    ({"family": "custom", "pmf": {2: 0.5, 4: 0.3, 8: 0.2}}, sampled_w),
+    ({"family": "geometric-pairs", "p": 0.5}, leaf_w),
+], ids=["geometric", "poisson", "fixed", "custom", "leaves-p0.5"])
+def test_w_k_matches_its_exact_laplace_transform(spec, draw, seed):
     dist, k = make_offspring(**spec), 10
-    samples = sample_W(dist, k, ORACLE_SAMPLES, seed).samples
+    samples = draw(dist, k, seed)
     phi = w_k_transform(dist, LAMBDAS, k)
     empirical, se = transform_z(samples, phi, w_k_transform(dist, 2 * LAMBDAS, k))
     # |z| <= 5; fixed-pairs has W_k == 1 and a standard error of 0

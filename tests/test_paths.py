@@ -1,16 +1,19 @@
 import itertools
+import operator
+import threading
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import cebp.branching
 import cebp.paths
 from cebp.errors import BudgetError, ConfigError
 from cebp.offspring import make_offspring
 from cebp.paths import (SamplePath, SimulationConfig, float_text, ingest_csv, path_records,
                         read_path_csv, simulate, write_path_csv, write_xy_csv)
 from cebp.rng import STREAM_DURATION, substream
-from cebp.tree import UP
+from cebp.tree import LEAF_BLOCK, UP
 
 
 def test_fixed_pairs_m1_path():
@@ -102,11 +105,25 @@ def test_only_a_chain_with_generations_opens_a_duration_stream(
         return substream(seed, *key)
 
     monkeypatch.setattr(cebp.paths, "substream", recording_substream)
+    monkeypatch.setattr(cebp.branching, "substream", recording_substream)
     path = simulate(SimulationConfig(
-        offspring={"family": "geometric-pairs", "p": 0.5}, depth=4, duration_mode=mode,
+        offspring={"family": "geometric-pairs", "p": 0.5}, depth=8, duration_mode=mode,
         w_generations=w_generations, root_mode="tile", target_horizon=3.0, seed=2))
-    assert path.meta["n_roots"] > 1
-    assert opened.count(STREAM_DURATION) == (path.meta["n_roots"] if opens else 0)
+    # one stream per block of LEAF_BLOCK leaves of each root
+    blocks = sum(-(-tree.orientations[-1].size // LEAF_BLOCK) for tree in path.trees)
+    assert blocks > path.meta["n_roots"] > 1
+    assert opened.count(STREAM_DURATION) == (blocks if opens else 0)
+
+
+def test_no_thread_outlives_a_sampled_simulate():
+    config = SimulationConfig(offspring={"family": "geometric-pairs", "p": 0.5}, depth=8,
+                              duration_mode="sampled", w_generations=4, seed=3)
+    before = threading.active_count()
+    assert simulate(config).n_knots > 2 * LEAF_BLOCK
+    assert threading.active_count() == before
+    # forked workers draw their blocks on threads of their own
+    knots = path_records(config, (3,), 2, operator.attrgetter("n_knots"), workers=2)
+    assert knots == path_records(config, (3,), 2, operator.attrgetter("n_knots"))
 
 
 def test_tile_mode_fixed_pairs_exact_horizon():

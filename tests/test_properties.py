@@ -72,7 +72,7 @@ def test_tree_files_round_trip(new_file, spec, depth, root_level, w_generations,
         rng = np.random.default_rng([seed, i])
         tree = expand_tree(dist, UP if i % 2 else DOWN, depth, rng, root_level=root_level)
         if w_generations is not None:
-            assign_durations(tree, dist, rng, w_generations)
+            assign_durations(tree, dist, (seed, i), w_generations)
         trees.append(tree)
     first, second = new_file(".ndjson"), new_file(".ndjson")
     write_trees(trees, first)

@@ -129,7 +129,7 @@ def test_mean_root_duration_is_w_sample():
 def test_sampled_durations_validate():
     dist = make_offspring("geometric-pairs", p=0.5)
     tree = expand_tree(dist, DOWN, 5, np.random.default_rng(11))
-    assign_durations(tree, dist, np.random.default_rng(12), 6)
+    assign_durations(tree, dist, (12,), 6)
     assert validate_tree(tree) is None
     leaves = tree.leaf_durations
     assert np.all(leaves > 0)
@@ -141,10 +141,10 @@ def test_sampled_durations_refuse_negative_w_generations():
     dist = make_offspring("geometric-pairs", p=0.5)
     tree = expand_tree(dist, DOWN, 3, np.random.default_rng(11))
     with pytest.raises(ConfigError) as err:
-        assign_durations(tree, dist, np.random.default_rng(12), -1)
+        assign_durations(tree, dist, (12,), -1)
     assert err.value.code == "INVALID_CONFIG"
     # zero generations is mean mode: every leaf gets its mean duration
-    assign_durations(tree, dist, np.random.default_rng(12), 0)
+    assign_durations(tree, dist, (12,), 0)
     assert np.all(tree.leaf_durations == dist.mu ** -3)
 
 
@@ -158,7 +158,7 @@ def test_sampled_matches_deeper_mean_mode_root_law():
     sampled, mean_deep = [], []
     for seed in range(reps):
         t1 = expand_tree(dist, UP, m, np.random.default_rng((13, seed)))
-        assign_durations(t1, dist, np.random.default_rng((14, seed)), k)
+        assign_durations(t1, dist, (14, seed), k)
         sampled.append(t1.timing()[0][0][0])
         t2 = expand_tree(dist, UP, m + k, np.random.default_rng((15, seed)))
         assign_durations(t2, dist, None, 0)

@@ -56,7 +56,7 @@ def test_round_trip_fixed_pairs(tmp_path):
 def test_round_trip_with_durations_exact(tmp_path):
     dist = make_offspring("geometric-pairs", p=0.5)
     tree = expand_tree(dist, UP, 5, np.random.default_rng(1))
-    assign_durations(tree, dist, np.random.default_rng(2), 5)
+    assign_durations(tree, dist, (2,), 5)
     back = round_trip(tree, tmp_path)
     assert trees_equal(tree, back)  # bit-exact floats via round-trip repr
 
@@ -190,7 +190,7 @@ def reference_lines(trees):
 def sampled_tree(depth, root_level=0, seed=8):
     dist = make_offspring("geometric-pairs", p=0.5)
     tree = expand_tree(dist, DOWN, depth, np.random.default_rng(seed), root_level=root_level)
-    return assign_durations(tree, dist, np.random.default_rng(seed + 1), 6)
+    return assign_durations(tree, dist, (seed + 1,), 6)
 
 
 def mean_tree(depth, seed, **family):
@@ -242,6 +242,7 @@ def test_two_roots_rejected(tmp_path):
         read_text("".join(json.dumps(rec) + "\n" for rec in recs), tmp_path)
     assert err.value.code == "MALFORMED_RECORD"
     assert "exactly one node" in str(err.value)
+    assert "line 1:" in str(err.value)
 
 
 @pytest.mark.parametrize("key, value", [("parent_id", 2), ("parent_id", None), ("id", 9)])
