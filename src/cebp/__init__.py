@@ -19,7 +19,7 @@ from .extract import (
     forest_matches_tree,
     subcrossing_pmf,
 )
-from .holder import HolderEstimate, holder_histogram, window_oscillation
+from .holder import HolderEstimate, holder_histogram
 from .increments import (
     IncrementRecords,
     IncrementTailFit,

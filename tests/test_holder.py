@@ -1,11 +1,13 @@
 """Tests for windowed oscillation and local Holder exponent estimation."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from cebp.errors import AnalysisError, ConfigError
-from cebp.holder import holder_histogram, window_oscillation
-from cebp.paths import SamplePath, SimulationConfig, simulate
+from cebp.holder import holder_histogram
+from cebp.paths import SamplePath, SimulationConfig, simulate, window_deviation
 
 
 def _path(times, values):
@@ -24,6 +26,45 @@ def _exponent_at(path, t, eps_levels, n_grid):
     return est.exponents[k]
 
 
+def _oscillation(path, centers, eps):
+    """sup |X(s) - X(c)| over |s - c| <= eps for each center c."""
+    centers = np.asarray(centers, dtype=float)
+    return window_deviation(path, centers - eps, centers + eps,
+                            np.interp(centers, path.times, path.values))
+
+
+def reference_holder_exponents(path, n_grid, eps_levels):
+    """One window scan per half-width, kept as the reference for holder_histogram.
+
+    Returns (grid_times, exponents).  Asserts that every window lies inside
+    the path domain in floating point, as this loop required of its windows.
+    """
+    eps = 2.0 ** -np.array(sorted(int(j) for j in eps_levels), dtype=float)
+    t0, t1 = path.times[0], path.times[-1]
+    grid = np.linspace(float(t0) + eps.max(), float(t1) - eps.max(), n_grid)
+    log_osc = np.empty((eps.size, n_grid))
+    for row, e in enumerate(eps):
+        assert np.all(grid - e >= t0) and np.all(grid + e <= t1)
+        with np.errstate(divide="ignore"):
+            log_osc[row] = np.log(_oscillation(path, grid, e))
+    x = np.log(eps) - np.log(eps).mean()
+    finite = np.all(np.isfinite(log_osc), axis=0)
+    slopes = np.full(n_grid, np.nan)
+    centered = log_osc[:, finite] - log_osc[:, finite].mean(axis=0)
+    slopes[finite] = x @ centered / float(np.dot(x, x))
+    return grid, slopes
+
+
+@functools.cache
+def _criterion_7_path():
+    """The depth-16 H = 1/2 path of acceptance criterion 7 (1,826,663 knots)."""
+    return simulate(SimulationConfig(
+        offspring={"family": "geometric-pairs", "p": 0.5}, depth=10,
+        duration_mode="sampled", w_generations=6, root_mode="tile", target_horizon=1.0,
+        seed=(0, 0x4D, 7, 0), keep_trees=False, node_budget=60_000_000,
+    ))
+
+
 def _oscillation_oracle(path, center, eps):
     """Direct per-window evaluation: interior knots plus interpolated ends."""
     lo, hi = center - eps, center + eps
@@ -38,7 +79,7 @@ def _oscillation_oracle(path, center, eps):
 def test_ramp_oscillation_is_eps():
     ramp = _path([0.0, 1.0], [0.0, 1.0])
     for eps in (0.25, 0.125, 2.0 ** -8):
-        osc = window_oscillation(ramp, [0.5], eps)
+        osc = _oscillation(ramp, [0.5], eps)
         assert osc[0] == pytest.approx(eps, rel=1e-12)
 
 
@@ -55,16 +96,9 @@ def test_oscillation_matches_bruteforce_oracle():
     span = times[-1]
     centers = rng.uniform(0.2 * span, 0.8 * span, size=50)
     for eps in (0.03, 0.1, 0.17):
-        got = window_oscillation(path, centers, eps)
+        got = _oscillation(path, centers, eps)
         want = [_oscillation_oracle(path, c, eps) for c in centers]
         assert np.allclose(got, want, rtol=0, atol=1e-12)
-
-
-def test_window_leaving_domain_rejected():
-    ramp = _path([0.0, 1.0], [0.0, 1.0])
-    with pytest.raises(AnalysisError) as err:
-        window_oscillation(ramp, [0.05], 0.25)
-    assert err.value.code == "EPS_RANGE_INFEASIBLE"
 
 
 def test_square_root_cusp_exponent():
@@ -100,17 +134,48 @@ def test_histogram_infeasible_span():
     assert err.value.code == "EPS_RANGE_INFEASIBLE"
 
 
-def test_histogram_spectrum_shape():
+def test_grid_at_an_offset_start_is_measured():
+    # (t0 + 2**-4) - 2**-4 rounds to one ulp below t0: the first window
+    # leaves the domain in floating point and clamps to the first knot.
+    t0, t1 = 31.9681636282665, 36.53081022709441
+    times = np.linspace(t0, t1, 2001)
+    est = holder_histogram(_path(times, times - t0), 100, range(4, 9))
+    assert est.grid_times[0] - 2.0 ** -4 < t0
+    assert est.valid.size == 100
+    assert np.all(np.abs(est.exponents - 1.0) < 1e-9)
+
+
+def _walk():
     rng = np.random.default_rng(1)
-    times = np.linspace(0.0, 1.0, 4097)
     values = np.cumsum(rng.choice([-1.0, 1.0], size=4097)) / 64.0
-    est = holder_histogram(_path(times, values), n_grid=128,
-                           eps_levels=range(4, 8), bins=12)
-    assert est.counts.sum() == est.valid.size
-    assert est.counts.size == 12 and est.bin_edges.size == 13
-    empty = est.counts == 0
-    assert np.all(np.isnan(est.coarse_spectrum[empty]))
-    assert np.all(np.isfinite(est.coarse_spectrum[~empty]))
+    return _path(np.linspace(0.0, 1.0, 4097), values), 128, range(4, 8)
+
+
+def _cusp():
+    t = np.linspace(0.0, 1.0, 20001)
+    return _path(t, np.sqrt(np.abs(t - 0.5))), 15, range(4, 9)
+
+
+def _offset_start():
+    rng = np.random.default_rng(5)
+    times = 7.25 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.001, 0.002, size=2999))])
+    return _path(times, np.cumsum(rng.normal(size=3000))), 200, range(3, 8)
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda: (_criterion_7_path(), 1000, range(4, 9)), id="criterion-7-eps-4-8"),
+    pytest.param(lambda: (_criterion_7_path(), 1000, range(6, 13)), id="criterion-7-eps-6-12"),
+    pytest.param(_cusp, id="sqrt-cusp"),
+    pytest.param(_walk, id="random-walk"),
+    pytest.param(_offset_start, id="start-7.25"),
+])
+def test_exponents_equal_the_reference_loop(case):
+    path, n_grid, eps_levels = case()
+    grid, exponents = reference_holder_exponents(path, n_grid, eps_levels)
+    est = holder_histogram(path, n_grid, eps_levels)
+    assert np.array_equal(est.grid_times, grid)
+    assert np.array_equal(est.exponents, exponents, equal_nan=True)
+    assert est.valid.size > 0
 
 
 def test_histogram_concentrates_near_hurst():
@@ -122,5 +187,7 @@ def test_histogram_concentrates_near_hurst():
     est = holder_histogram(path, n_grid=256, eps_levels=range(3, 7))
     assert est.valid.size == 256
     assert est.valid.mean() == pytest.approx(0.5, abs=0.1)
-    peak = np.argmax(est.counts)
-    assert est.bin_edges[peak] - 0.15 < 0.5 < est.bin_edges[peak + 1] + 0.15
+    counts, bin_edges = np.histogram(est.valid, bins=20,
+                                     range=(est.valid.min() - 0.05, est.valid.max() + 0.05))
+    peak = np.argmax(counts)
+    assert bin_edges[peak] - 0.15 < 0.5 < bin_edges[peak + 1] + 0.15
