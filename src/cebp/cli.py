@@ -364,12 +364,12 @@ def _build():
     p_sim = sub.add_parser("simulate", help="simulate a sample path")
     _add_family_args(p_sim)
     p_sim.add_argument("--depth", type=int)
-    p_sim.add_argument("--mode", choices=["mean", "sampled"], default="mean")
-    p_sim.add_argument("--w-generations", type=int, default=12)
-    p_sim.add_argument("--root-mode", choices=["single", "tile"], default="single")
-    p_sim.add_argument("--horizon", type=float, default=1.0)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--node-budget", type=int, default=10_000_000)
+    p_sim.add_argument("--mode", choices=["mean", "sampled"], default=SimulationConfig.duration_mode)
+    p_sim.add_argument("--w-generations", type=int, default=SimulationConfig.w_generations)
+    p_sim.add_argument("--root-mode", choices=["single", "tile"], default=SimulationConfig.root_mode)
+    p_sim.add_argument("--horizon", type=float, default=SimulationConfig.target_horizon)
+    p_sim.add_argument("--seed", type=int, default=SimulationConfig.seed)
+    p_sim.add_argument("--node-budget", type=int, default=SimulationConfig.node_budget)
     p_sim.add_argument("--no-trees", action="store_true",
                        help="skip the tree NDJSON artifact")
     p_sim.add_argument("--out", default="cebp_run")

@@ -288,6 +288,6 @@ def forest_matches_tree(forest, tree):
             if np.max(np.abs(rec.end_times - ends)) > 1e-9:
                 return f"level {n}: end times differ beyond 1e-9"
         if g < tree.depth and n - 1 >= forest.base_level:
-            if not np.array_equal(rec.subcrossing_counts, tree.z[g]):
+            if not np.array_equal(rec.subcrossing_counts, tree.z(g)):
                 return f"level {n}: subcrossing count mismatch"
     return None

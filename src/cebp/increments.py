@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import AnalysisError, ConfigError
 from .extract import extract_passage_times
 from .offspring import OffspringDistribution, make_offspring
 from .paths import SimulationConfig, path_records, window_deviation
@@ -209,6 +209,8 @@ def remaining_time_tail(records, window=REMAINING_WINDOW, n_points=REMAINING_POI
         y_all.append(rec.y)
         levels.append(rec.level)
     scaled = np.sort(np.concatenate(scaled))
+    if scaled.size == 0:
+        raise AnalysisError("INSUFFICIENT_TAIL_POINTS", "every remaining-time query was dropped")
     y_all = np.concatenate(y_all)
     u = np.exp(np.linspace(np.log(window[0]), np.log(window[1]), n_points))
     p_le = np.searchsorted(scaled, u, side="right") / scaled.size

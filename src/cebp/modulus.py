@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalysisError, ConfigError
+from .errors import AnalysisError, BudgetError, ConfigError
 from .paths import window_deviation
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
 
 BAND_TOL = 0.25
 MAX_BAND_RATIO = 10.0
+MAX_BLOCKS = 2 ** 20     # blocks per table; each costs a few float64 words
 
 
 def h_modulus(delta, hurst):
@@ -66,6 +67,9 @@ def oscillation_table(path, delta):
     """Block oscillation table at the given block width."""
     t0 = float(path.times[0])
     span = path.span
+    if span > MAX_BLOCKS * delta:   # checked before any block array is allocated
+        raise BudgetError("BLOCK_BUDGET_EXCEEDED", f"block width {delta} cuts span {span} "
+                          f"into more than {MAX_BLOCKS} blocks")
     n_blocks = int(np.floor(span / delta + 1e-12))
     if n_blocks < 2:
         raise AnalysisError(

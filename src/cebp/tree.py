@@ -1,21 +1,19 @@
 """Crossing-tree construction and validation.
 
 A tree records how one root crossing decomposes, level by level, into
-subcrossings.  Storage is an arena indexed by generation: ``orientations[g]``
-holds the generation-g nodes in left-to-right path order as signed bytes
-(+1 up, -1 down), and ``z[g]`` their children counts, so the children of node
-(g, i) occupy a contiguous slice of generation g+1.  This layout is what the
-path builder and the extractors iterate over, and it keeps million-node trees
-in a few flat arrays.
+subcrossings: a parent with Z children gets Z/2 - 1 excursion pairs, each
+(+,-) or (-,+) with probability 1/2, then one direct pair repeating the
+parent orientation.  That forces the up/down child counts Z/2 +- 1 and makes
+the last child end where the parent ends.
 
-Timing is stored once, as the leaf durations: the leaf crossings laid end to
-end make the path, so they fix every node's duration and start time, and
-``CrossingTree.timing()`` is the one place that derives them.
-
-Subcrossing orientation structure: a parent with Z children gets Z/2 - 1
-excursion pairs, each (+,-) or (-,+) with probability 1/2, followed by one
-direct pair repeating the parent orientation.  That forces the up/down child
-counts Z/2 +- 1 and makes the last child end where the parent ends.
+A tree stores its orientations and its leaf durations only.
+``orientations[g]`` holds generation g in left-to-right path order as signed
+bytes (+1 up, -1 down).  The children of node (g, i) are a contiguous slice
+of generation g+1 that ends on its one same-sign pair, so
+``CrossingTree.child_offsets`` derives every children count from the
+orientations.  The leaf crossings laid end to end make the path, so
+``CrossingTree.timing()`` derives every node's duration and start time from
+the leaf durations.
 """
 
 from dataclasses import dataclass
@@ -51,7 +49,6 @@ class CrossingTree:
 
     root_level: int
     orientations: list      # per generation: int8 array, +1/-1
-    z: list                 # per generation 0..depth-1: int64 children counts
     leaf_durations: np.ndarray | None = None
 
     @property
@@ -67,8 +64,13 @@ class CrossingTree:
         return int(sum(self.generation_sizes))
 
     def child_offsets(self, g):
-        """Exclusive prefix sums: children of (g, i) are slice [off[i], off[i+1])."""
-        return np.concatenate([[0], np.cumsum(self.z[g])])
+        """Children of (g, i) are slice [off[i], off[i+1]), closed by the same-sign pairs."""
+        kids = self.orientations[g + 1]
+        return np.concatenate([[0], 2 * np.flatnonzero(kids[0::2] == kids[1::2]) + 2])
+
+    def z(self, g):
+        """Children counts of generation g, derived on each call."""
+        return np.diff(self.child_offsets(g))
 
     def timing(self):
         """Per-generation (durations, start times), or (None, None) without leaf durations.
@@ -111,8 +113,8 @@ def expand_tree(dist, root_orientation, depth, rng, node_budget=DEFAULT_NODE_BUD
     """Grow a crossing tree of the given depth under ``dist``.
 
     Children counts are drawn per node from the exact family law; orientations
-    follow the excursions-then-direct-pair structure.  Raises
-    NODE_BUDGET_EXCEEDED as soon as the arena would outgrow ``node_budget``.
+    follow the excursions-then-direct-pair structure, which records the counts.
+    Raises NODE_BUDGET_EXCEEDED as soon as the arena would outgrow ``node_budget``.
     """
     if depth < 0:
         raise ConfigError("INVALID_Z", f"depth must be >= 0, got {depth}")
@@ -125,7 +127,6 @@ def expand_tree(dist, root_orientation, depth, rng, node_budget=DEFAULT_NODE_BUD
             f"node budget {node_budget:g}",
         )
     orientations = [np.array([root_orientation], dtype=np.int8)]
-    zs = []
     total = 1
     for g in range(depth):
         parents = orientations[g]
@@ -136,9 +137,8 @@ def expand_tree(dist, root_orientation, depth, rng, node_budget=DEFAULT_NODE_BUD
                 "NODE_BUDGET_EXCEEDED",
                 f"tree grew past {node_budget:g} nodes at generation {g + 1}",
             )
-        zs.append(z)
         orientations.append(_expand_generation(parents, z, rng))
-    return CrossingTree(root_level=root_level, orientations=orientations, z=zs)
+    return CrossingTree(root_level=root_level, orientations=orientations)
 
 
 def assign_durations(tree, dist, key, w_generations):
@@ -161,38 +161,28 @@ def assign_durations(tree, dist, key, w_generations):
 def validate_tree(tree):
     """Check every structural invariant; returns None or the first violation.
 
-    Leaf start times must strictly increase, so only the last leaf may last 0.
+    Below each node sit pairs that close on one direct pair repeating it; any
+    other pair has opposite signs, an excursion.  Leaf start times must
+    strictly increase, so only the last leaf may last 0.
     """
     m = tree.depth
     if tree.orientations[0].size != 1:
         return "root generation must hold exactly one node"
-    if len(tree.z) != m:
-        return f"expected {m} children-count arrays, found {len(tree.z)}"
     for g in range(m + 1):
         o = tree.orientations[g]
         if not np.all(np.isin(o, (UP, DOWN))):
             return f"generation {g}: orientations must be +1/-1"
         if g == m:
             continue
-        z = tree.z[g]
-        if z.size != o.size:
-            return f"generation {g}: {o.size} nodes but {z.size} children counts"
-        if np.any(z < 2) or np.any(z % 2 != 0):
-            return f"generation {g}: children counts must be even >= 2"
         kids = tree.orientations[g + 1]
-        if kids.size != int(z.sum()):
-            return f"generation {g + 1}: size {kids.size} != sum of parent counts {int(z.sum())}"
-        # pair structure: excursions cancel and the final pair repeats the parent,
-        # which forces the up/down child counts Z/2 +- 1
-        pairs = z >> 1
-        first, second = kids[0::2], kids[1::2]
-        direct = np.zeros(first.size, dtype=bool)
-        direct[np.cumsum(pairs) - 1] = True
-        if not np.all(second[~direct] == -first[~direct]):
-            return f"generation {g}: an excursion pair does not cancel"
-        parent_of_pair = np.repeat(o, pairs)
-        if not (np.all(first[direct] == parent_of_pair[direct])
-                and np.all(second[direct] == parent_of_pair[direct])):
+        if kids.size % 2:
+            return f"generation {g + 1}: {kids.size} nodes, an odd number"
+        direct = kids[0::2] == kids[1::2]
+        if int(direct.sum()) != o.size:
+            return f"generation {g}: {o.size} node(s) over {int(direct.sum())} direct pair(s)"
+        if not direct[-1]:
+            return f"generation {g + 1}: ends on an excursion pair"
+        if not np.all(kids[0::2][direct] == o):
             return f"generation {g}: a direct pair does not match its parent"
     d = tree.leaf_durations
     if d is not None:

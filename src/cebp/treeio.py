@@ -4,18 +4,19 @@ Records carry (id, parent_id, level, position, orientation, z) plus, from
 ``CrossingTree.timing()``, duration and start_time when the tree has leaf
 durations.  Node ids run generation-major (root first, then generation 1 left
 to right, and so on), which makes the files diffable; ``_layout`` alone derives
-a tree's ids, parent ids, positions and leaf z = 0.  The reader accepts a file
-exactly when its records are what ``write_trees`` writes for the trees they
-describe, in any line order: each field has its JSON type, each tree passes
-``validate_tree``, each record equals its ``_layout`` entry, and each duration
-and start_time is, bit for bit, what ``timing()`` derives from the leaf
-durations.  Floats go through Python's shortest round-trip repr, so a file
-``write_trees`` wrote reads back and writes out again byte for byte;
-``paths.float_text`` formats them, once per distinct bit pattern in a column
-that repeats (mean-mode durations) and lazily one by one in a mostly-distinct
-one (start times).  Lines keep the ``json.dumps`` layout (keys in the order
-above, then ``tree`` in multi-tree files), each built in one f-string; the
-sha256 pins in ``tests/test_artifact_oracle.py`` hold those bytes fixed.
+a tree's ids, parent ids, positions and z, the last from ``CrossingTree.z``
+(0 at the leaves).  The reader accepts a file exactly when its records are
+what ``write_trees`` writes for the trees they describe, in any line order:
+each field has its JSON type, each tree passes ``validate_tree``, each record
+equals its ``_layout`` entry, and each duration and start_time is, bit for
+bit, what ``timing()`` derives from the leaf durations.  Floats go through
+Python's shortest round-trip repr, so a file ``write_trees`` wrote reads back
+and writes out again byte for byte; ``paths.float_text`` formats them, once
+per distinct bit pattern in a column that repeats (mean-mode durations) and
+lazily one by one in a mostly-distinct one (start times).  Lines keep the
+``json.dumps`` layout (keys in the order above, then ``tree`` in multi-tree
+files), each built in one f-string; the sha256 pins in
+``tests/test_artifact_oracle.py`` hold those bytes fixed.
 """
 
 import itertools
@@ -40,8 +41,8 @@ def _layout(tree):
     for g, orient in enumerate(tree.orientations):
         n = orient.size
         parents = (None,) if g == 0 else np.repeat(
-            np.arange(first_id - tree.z[g - 1].size, first_id), tree.z[g - 1]).tolist()
-        zs = tree.z[g].tolist() if g < tree.depth else itertools.repeat(0, n)
+            np.arange(first_id - tree.orientations[g - 1].size, first_id), tree.z(g - 1)).tolist()
+        zs = tree.z(g).tolist() if g < tree.depth else itertools.repeat(0, n)
         yield tree.root_level - g, range(first_id, first_id + n), parents, range(n), zs
         first_id += n
 
@@ -95,7 +96,6 @@ def _build_tree(rows):
         stored = np.array([[rec[key] for rec, _ in rows] for key in ("duration", "start_time")],
                           dtype=np.float64)
     tree = CrossingTree(root_level=gens[0][0][0]["level"], orientations=orientations,
-                        z=[np.array([rec["z"] for rec, _ in gen], dtype=np.int64) for gen in gens[:-1]],
                         leaf_durations=stored[0, -orientations[-1].size:] if with_durations else None)
     why = validate_tree(tree)
     if why is not None:     # reported at the first record of the generation it names

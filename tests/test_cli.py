@@ -1,13 +1,16 @@
 """End-to-end checks of the command-line interface and its exit codes."""
 
 import json
+import os
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cebp
 from cebp.cli import main
 from cebp.errors import AnalysisError, BudgetError, CebpError, ConfigError
 from cebp.extract import extract_crossing_forest
@@ -19,6 +22,13 @@ def run_cli(*argv):
         return main(list(argv))
     except SystemExit as exc:  # argparse usage errors
         return exc.code
+
+
+def run_python(*args):
+    """A child interpreter on the source tree of the cebp that these tests import."""
+    paths = [str(Path(cebp.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def write_ramp(path, n=2, step=1.0):
@@ -313,6 +323,15 @@ def test_modulus_level_zero_is_config_error(tmp_path, monkeypatch):
     assert code == 2
 
 
+def test_modulus_past_the_block_budget_is_budget_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = run_cli("verify", "modulus", "--H", "0.5", "--depth", "10", "--seeds", "1",
+                   "--l-range", "40:40", "--out", "m.json")
+    assert code == 3
+    assert "BLOCK_BUDGET_EXCEEDED" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_ingest_normalizes_external_csv(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(5)
@@ -340,10 +359,7 @@ def test_ingest_bad_file_is_config_error(tmp_path, monkeypatch):
 
 
 def test_module_entry_point_reports_version():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cebp.cli", "--version"],
-        capture_output=True, text=True,
-    )
+    proc = run_python("-m", "cebp.cli", "--version")
     assert proc.returncode == 0
     assert proc.stdout.startswith("cebp ")
 
@@ -469,7 +485,7 @@ def test_analyze_refuses_a_bad_mu(tmp_path, monkeypatch, mu):
 
 def test_cli_import_loads_no_scipy():
     code = "import sys, cebp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cebp.errors import ConfigError
+from cebp.errors import AnalysisError, ConfigError
 from cebp.increments import (
     IncrementRecords,
     RemainingTimeRecords,
@@ -147,3 +147,12 @@ def test_increment_records_build_the_offspring_law_once(monkeypatch):
         monkeypatch.setattr(module, "make_offspring", counting)
     increment_records(GEOM, t=0.05, n_records=20, master_seed=3, depth=4)
     assert len(calls) == 1
+
+
+def test_remaining_time_tail_on_an_empty_pool_is_analysis_error():
+    path = simulate(SimulationConfig(offspring=GEOM, depth=3, seed=5))
+    rec = remaining_time_records(path, level=3, n_queries=50, master_seed=6)
+    assert rec.n_records == 0 and rec.n_dropped == 50
+    with pytest.raises(AnalysisError) as err:
+        remaining_time_tail(rec)
+    assert err.value.code == "INSUFFICIENT_TAIL_POINTS"

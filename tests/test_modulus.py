@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from cebp.errors import AnalysisError, ConfigError
+from cebp.errors import AnalysisError, BudgetError, ConfigError
 from cebp.modulus import (
+    MAX_BLOCKS,
     brute_force_modulus,
     h_modulus,
     modulus_ratio,
@@ -121,3 +122,11 @@ def test_constant_path_is_not_stable():
     report = modulus_ratio(flat, (2, 4))
     assert np.all(report.ratios == 0)
     assert report.stable is False
+
+
+def test_block_budget_refused_before_allocating():
+    ramp = _path([0.0, 1.0], [0.0, 1.0])
+    assert oscillation_table(ramp, 2.0 ** -20).n_blocks == MAX_BLOCKS
+    with pytest.raises(BudgetError) as err:
+        oscillation_table(ramp, 2.0 ** -21)
+    assert err.value.code == "BLOCK_BUDGET_EXCEEDED"

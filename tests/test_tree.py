@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cebp.errors import BudgetError, ConfigError
-from cebp.offspring import make_offspring
+from cebp.offspring import OffspringDistribution, make_offspring
 from cebp.tree import (
     DOWN,
     UP,
@@ -46,14 +46,6 @@ def test_orientations_z6_frequencies():
     # first-pair sign is a fair coin within 3 sigma
     p_up = np.mean(draws[:, 0] == 1)
     assert abs(p_up - 0.5) < 3 * 0.5 / np.sqrt(n)
-
-
-@pytest.mark.parametrize("bad_z", [0, 1, 3, -2])
-def test_orientations_invalid_z(bad_z):
-    dist = make_offspring("fixed-pairs", b=2)
-    tree = expand_tree(dist, UP, 1, np.random.default_rng(0))
-    tree.z[0] = np.array([bad_z])
-    assert "children counts must be even >= 2" in validate_tree(tree)
 
 
 def test_expand_fixed_pairs_node_count():
@@ -237,17 +229,41 @@ def test_expand_budget_trips_while_growing():
     assert "tree grew past 600 nodes" in str(err.value)
 
 
-def arena(orientations, z):
-    return CrossingTree(root_level=0, z=[np.array(c, dtype=np.int64) for c in z],
-                        orientations=[np.array(o, dtype=np.int8) for o in orientations])
+def arena(orientations):
+    return CrossingTree(root_level=0, orientations=[np.array(o, dtype=np.int8) for o in orientations])
 
 
 @pytest.mark.parametrize("tree, why", [
-    (arena([[UP], [UP, UP]], []), "expected 1 children-count arrays, found 0"),
-    (arena([[2]], []), "generation 0: orientations must be +1/-1"),
-    (arena([[UP], [UP, UP]], [[2, 2]]), "generation 0: 1 nodes but 2 children counts"),
-    (arena([[UP], [DOWN, DOWN]], [[2]]), "generation 0: a direct pair does not match its parent"),
-    (arena([[UP], [UP, UP]], [[2]]), None),
-], ids=["z-arrays", "orientation-2", "z-size", "direct-pair", "valid"])
+    (arena([[2]]), "generation 0: orientations must be +1/-1"),
+    (arena([[UP], [DOWN, DOWN]]), "generation 0: a direct pair does not match its parent"),
+    (arena([[UP], [UP, UP, UP]]), "generation 1: 3 nodes, an odd number"),
+    (arena([[UP], [UP, UP, UP, DOWN]]), "generation 1: ends on an excursion pair"),
+    (arena([[UP], [UP, UP, UP, UP]]), "generation 0: 1 node(s) over 2 direct pair(s)"),
+    (arena([[UP], [UP, UP], [UP, DOWN, UP, UP]]), "generation 1: 2 node(s) over 1 direct pair(s)"),
+    (arena([[UP], [UP, UP]]), None),
+], ids=["orientation-2", "direct-pair", "odd-generation", "ends-on-excursion",
+        "direct-pair-too-many", "direct-pair-too-few", "valid"])
 def test_validator_checks_hand_built_arenas(tree, why):
     assert validate_tree(tree) == why
+
+
+@pytest.mark.parametrize("family, params, seed", [
+    ("geometric-pairs", {"p": 0.5}, 40),
+    ("geometric-pairs", {"p": 0.5}, 41),
+    ("poisson-pairs", {"lam": 1.5}, 42),
+    ("fixed-pairs", {"b": 3}, 43),
+    ("custom", {"pmf": {2: 0.5, 6: 0.3, 10: 0.2}}, 44),
+])
+def test_derived_counts_equal_the_drawn_counts(monkeypatch, family, params, seed):
+    drawn, sample_z = [], OffspringDistribution.sample_z
+
+    def recording(self, rng, size):
+        drawn.append(sample_z(self, rng, size))
+        return drawn[-1]
+
+    monkeypatch.setattr(OffspringDistribution, "sample_z", recording)
+    tree = expand_tree(make_offspring(family, **params), DOWN, 5, np.random.default_rng(seed))
+    assert len(drawn) == tree.depth == 5
+    for g, z in enumerate(drawn):
+        assert np.array_equal(tree.z(g), z)
+        assert np.array_equal(tree.child_offsets(g), np.concatenate([[0], np.cumsum(z)]))

@@ -16,9 +16,6 @@ def trees_equal(a, b):
     for g in range(a.depth + 1):
         if not np.array_equal(a.orientations[g], b.orientations[g]):
             return False
-    for g in range(a.depth):
-        if not np.array_equal(a.z[g], b.z[g]):
-            return False
     if (a.leaf_durations is None) != (b.leaf_durations is None):
         return False
     return a.leaf_durations is None or np.array_equal(a.leaf_durations, b.leaf_durations)
@@ -167,6 +164,7 @@ def reference_lines(trees):
         gen_start = np.concatenate([[0], np.cumsum(tree.generation_sizes)])
         for g in range(tree.depth + 1):
             orient = tree.orientations[g]
+            z = tree.z(g) if g < tree.depth else np.zeros(orient.size, dtype=np.int64)
             if g > 0:
                 off = tree.child_offsets(g - 1)
                 parent_of = np.searchsorted(off, np.arange(orient.size), side="right") - 1
@@ -177,7 +175,7 @@ def reference_lines(trees):
                     "level": tree.root_level - g,
                     "position": i,
                     "orientation": "+" if orient[i] > 0 else "-",
-                    "z": int(tree.z[g][i]) if g < tree.depth else 0,
+                    "z": int(z[i]),
                 }
                 if durations is not None:
                     rec["duration"] = float(durations[g][i])
@@ -293,8 +291,9 @@ def test_field_of_the_wrong_json_type_rejected(tmp_path, index, key, value):
     (lambda recs: [recs[0].pop(key) for key in ("duration", "start_time")], 2),
     (lambda recs: [rec.update(level=-2) for rec in recs[1:]], 2),
     (lambda recs: recs[2].pop("duration"), 3),
+    (lambda recs: recs[0].update(z=4), 1),
 ], ids=["position-gap", "duplicate-position", "root-without-durations", "missing-level",
-        "no-duration"])
+        "no-duration", "z-off-the-children"])
 def test_records_off_the_writer_layout_rejected(tmp_path, edit, line):
     recs = [dict(rec) for rec in THREE_NODES]
     edit(recs)
@@ -333,9 +332,11 @@ def reference_build_tree(rows):
     if with_durations:
         stored = np.array([[rec[key] for rec, _ in ordered] for key in ("duration", "start_time")],
                           dtype=np.float64)
-    tree = CrossingTree(root_level=root_level, orientations=orientations, z=zs,
+    tree = CrossingTree(root_level=root_level, orientations=orientations,
                         leaf_durations=stored[0, -orientations[-1].size:] if with_durations else None)
     why = validate_tree(tree)
+    if why is None and not all(np.array_equal(z, tree.z(g)) for g, z in enumerate(zs)):
+        why = "children counts disagree with the orientations"
     if why is not None:
         raise _malformed(rows[-1][1], why)
     # the arena is valid, so its children counts give every node's parent id
