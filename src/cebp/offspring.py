@@ -44,7 +44,7 @@ class OffspringDistribution:
 
     support/probs hold the truncated, renormalized pmf table; ``mu`` is the
     exact closed-form mean for parametric families (the table mean agrees to
-    ~1e-10).  ``pi`` is P(Z > 2), the mass not on the minimal count, and
+    ~1e-10).  ``pi`` is P(Z > 2), the mass above 2, and
     ``hurst`` is log 2 / log mu.
     """
 
@@ -59,12 +59,12 @@ class OffspringDistribution:
     def sample_z(self, rng, size):
         """Draw subcrossing counts from the exact (untruncated) law."""
         if self.family == "geometric-pairs":
-            return 2 * rng.geometric(self.params["p"], size=size).astype(np.int64)
+            return 2 * rng.geometric(self.params["p"], size=size).astype(np.int64, copy=False)
         if self.family == "poisson-pairs":
-            return 2 + 2 * rng.poisson(self.params["lam"], size=size).astype(np.int64)
+            return 2 + 2 * rng.poisson(self.params["lam"], size=size).astype(np.int64, copy=False)
         if self.family == "fixed-pairs":
             return np.full(size, 2 * self.params["b"], dtype=np.int64)
-        return rng.choice(self.support, size=size, p=self.probs).astype(np.int64)
+        return rng.choice(self.support, size=size, p=self.probs).astype(np.int64, copy=False)
 
     def population_step(self, rng, counts):
         """One aggregated Galton-Watson generation.

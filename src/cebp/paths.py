@@ -90,6 +90,8 @@ class SimulationConfig:
             raise ConfigError("INVALID_CONFIG", f"unknown root mode {self.root_mode!r}")
         if np.min(self.seed) < 0:          # an int or a key tuple; SeedSequence takes neither below 0
             raise ConfigError("INVALID_CONFIG", f"seed must be >= 0, got {self.seed!r}")
+        if self.node_budget < 1:
+            raise ConfigError("INVALID_CONFIG", f"node budget must be >= 1, got {self.node_budget}")
         if self.root_mode == "tile" and not self.target_horizon > 0:
             raise ConfigError("INVALID_CONFIG", "tile mode needs target_horizon > 0")
 
@@ -108,14 +110,15 @@ def _one_tree(dist, config, index):
 def simulate(config):
     """Simulate a CEBP sample path per the configuration; deterministic in seed.
 
-    Single mode is the tile loop stopped after root 0.
+    Single mode is the tile loop stopped after root 0.  Values are exact: one
+    integer running sum of all leaf orientations (below 2**53) times 2**-m.
     """
     config.validate()
     dist = config.resolve_offspring()
     tile = config.root_mode == "tile"
     m = config.depth
-    trees, total_nodes, n_roots = [], 0, 0
-    chunks_t, chunks_v = [np.array([0.0])], [np.array([0.0])]
+    trees, steps, total_nodes, n_roots = [], [np.zeros(1, dtype=np.int8)], 0, 0
+    chunks_t = [np.array([0.0])]
     while n_roots == 0 or (tile and chunks_t[-1][-1] < config.target_horizon):
         tree = _one_tree(dist, config, n_roots)
         n_roots += 1
@@ -129,14 +132,14 @@ def simulate(config):
         if config.keep_trees:
             trees.append(tree)
         chunks_t.append(np.cumsum(tree.leaf_durations) + chunks_t[-1][-1])
-        chunks_v.append(np.cumsum(tree.orientations[m] * 2.0 ** -m) + chunks_v[-1][-1])
+        steps.append(tree.orientations[m])
     meta = {"depth": m, "duration_mode": config.duration_mode, "seed": config.seed,
             "family": dist.family, "params": dist.params, "root_mode": config.root_mode}
     if tile:
         meta["n_roots"] = n_roots
     return SamplePath(
         times=np.concatenate(chunks_t),
-        values=np.concatenate(chunks_v),
+        values=np.cumsum(np.concatenate(steps), dtype=np.int64) * 2.0 ** -m,
         resolution_level=-m,
         hurst=dist.hurst,
         mu=dist.mu,

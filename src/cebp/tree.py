@@ -4,7 +4,8 @@ A tree records how one root crossing decomposes, level by level, into
 subcrossings: a parent with Z children gets Z/2 - 1 excursion pairs, each
 (+,-) or (-,+) with probability 1/2, then one direct pair repeating the
 parent orientation.  That forces the up/down child counts Z/2 +- 1 and makes
-the last child end where the parent ends.
+the last child end where the parent ends.  A generation takes one fair draw
+per pair, direct pairs included (see ``_expand_generation``).
 
 A tree stores its orientations and its leaf durations only.
 ``orientations[g]`` holds generation g in left-to-right path order as signed
@@ -41,6 +42,7 @@ DEFAULT_NODE_BUDGET = 10 ** 7
 LEAF_BLOCK = 2 ** 14    # leaves per keyed block of sampled durations: it fixes every leaf's stream
 
 CHAR_ORIENTS = {"+": UP, "-": DOWN}
+SIGNS = np.array([DOWN, UP], dtype=np.int8)     # orientation of a pair draw of 0 or 1
 
 
 @dataclass
@@ -92,19 +94,15 @@ class CrossingTree:
 
 
 def _expand_generation(orient, z, rng):
-    """All children orientations of one generation in a single pass."""
-    pairs = z >> 1
-    total_pairs = int(pairs.sum())
-    last_pair = np.cumsum(pairs) - 1
-    is_direct = np.zeros(total_pairs, dtype=bool)
-    is_direct[last_pair] = True
-    parent_of_pair = np.repeat(orient, pairs)
-    first = rng.integers(0, 2, size=total_pairs).astype(np.int8) * 2 - 1
-    first = np.where(is_direct, parent_of_pair, first)
-    second = np.where(is_direct, first, -first)
-    out = np.empty(2 * total_pairs, dtype=np.int8)
+    """Children of one generation: a pair's first child is UP on a draw of 1, its second
+    the negation, and both children of a parent's last (direct) pair take its sign."""
+    last_pair = np.cumsum(z >> 1) - 1
+    first = SIGNS[rng.integers(0, 2, size=int(last_pair[-1]) + 1)]
+    first[last_pair] = orient
+    out = np.empty(2 * first.size, dtype=np.int8)
     out[0::2] = first
-    out[1::2] = second
+    np.negative(first, out=out[1::2])
+    out[1::2][last_pair] = orient
     return out
 
 

@@ -514,6 +514,8 @@ W_TAIL = ("verify", "w-tail", "--samples", "10")
     ((*W_TAIL, "--seed", "-1"), None),
     ((*W_TAIL, "--workers", "0"), None),
     ((*W_TAIL, "--workers", "-3"), None),
+    ((*SIM, "--depth", "3", "--node-budget", "0"), None),
+    ((*SIM, "--depth", "3", "--node-budget", "-5"), None),
     ((*SIM, "--depth", "3"), {"seed": -3}),
     ((*SIM, "--depth", "3"), {"seed": 1.5}),
     ((*SIM, "--depth", "3"), {"seed": True}),
@@ -522,7 +524,8 @@ W_TAIL = ("verify", "w-tail", "--samples", "10")
     ((*SIM, "--depth", "3"), {"no_trees": "yes"}),
     ((*SIM, "--depth", "3"), {"horizon": True}),
     (W_TAIL, {"workers": 1.5}),
-], ids=["seed-flag", "w-tail-seed-flag", "workers-0", "workers-minus-3", "seed-minus-3",
+], ids=["seed-flag", "w-tail-seed-flag", "workers-0", "workers-minus-3", "node-budget-0",
+        "node-budget-minus-5", "seed-minus-3",
         "seed-float", "seed-bool", "w-generations-float", "depth-float", "no-trees-string",
         "horizon-bool", "workers-float"])
 def test_option_of_the_wrong_type_or_range_is_invalid_config(tmp_path, monkeypatch, capsys,

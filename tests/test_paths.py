@@ -329,3 +329,34 @@ def test_a_record_sees_its_path_and_seed():
     config = SimulationConfig(offspring={"family": "geometric-pairs", "p": 0.5}, depth=3)
     seeds = path_records(config, (5, 6), 3, lambda path: path.meta["seed"])
     assert seeds == [(5, 6, 0), (5, 6, 1), (5, 6, 2)]
+
+
+def reference_assembly(config):
+    """The per-root assembly loop of ``simulate``, kept as its oracle: (times, values)."""
+    dist, m = config.resolve_offspring(), config.depth
+    chunks_t, chunks_v = [np.array([0.0])], [np.array([0.0])]
+    n_roots = 0
+    while n_roots == 0 or (config.root_mode == "tile"
+                           and chunks_t[-1][-1] < config.target_horizon):
+        tree = cebp.paths._one_tree(dist, config, n_roots)
+        n_roots += 1
+        chunks_t.append(np.cumsum(tree.leaf_durations) + chunks_t[-1][-1])
+        chunks_v.append(np.cumsum(tree.orientations[m] * 2.0 ** -m) + chunks_v[-1][-1])
+    return np.concatenate(chunks_t), np.concatenate(chunks_v)
+
+
+@pytest.mark.parametrize("keep_trees", [True, False])
+@pytest.mark.parametrize("mode", ["mean", "sampled"])
+@pytest.mark.parametrize("offspring", [
+    {"family": "geometric-pairs", "p": 0.25},
+    {"family": "custom", "pmf": {2: 0.3, 8: 0.7}},      # mu = 6.2, not a power of two
+])
+def test_path_assembly_matches_the_per_root_reference(offspring, mode, keep_trees):
+    config = SimulationConfig(offspring=offspring, depth=4, duration_mode=mode, w_generations=4,
+                              root_mode="tile", target_horizon=4.0, seed=21,
+                              keep_trees=keep_trees)
+    path = simulate(config)
+    times, values = reference_assembly(config)
+    assert path.meta["n_roots"] > 1
+    assert np.array_equal(path.times.view(np.int64), times.view(np.int64))
+    assert np.array_equal(path.values.view(np.int64), values.view(np.int64))

@@ -267,3 +267,46 @@ def test_derived_counts_equal_the_drawn_counts(monkeypatch, family, params, seed
     for g, z in enumerate(drawn):
         assert np.array_equal(tree.z(g), z)
         assert np.array_equal(tree.child_offsets(g), np.concatenate([[0], np.cumsum(z)]))
+
+
+def reference_expand_generation(orient, z, rng):
+    """The mask-and-where form of ``_expand_generation``, kept as its oracle."""
+    pairs = z >> 1
+    total_pairs = int(pairs.sum())
+    last_pair = np.cumsum(pairs) - 1
+    is_direct = np.zeros(total_pairs, dtype=bool)
+    is_direct[last_pair] = True
+    parent_of_pair = np.repeat(orient, pairs)
+    first = rng.integers(0, 2, size=total_pairs).astype(np.int8) * 2 - 1
+    first = np.where(is_direct, parent_of_pair, first)
+    second = np.where(is_direct, first, -first)
+    out = np.empty(2 * total_pairs, dtype=np.int8)
+    out[0::2] = first
+    out[1::2] = second
+    return out
+
+
+@pytest.mark.parametrize("family, params", [
+    ("geometric-pairs", {"p": 0.25}),
+    ("poisson-pairs", {"lam": 1.5}),
+    ("fixed-pairs", {"b": 3}),
+    ("custom", {"pmf": {2: 0.3, 8: 0.7}}),
+])
+def test_expand_generation_matches_the_reference(family, params):
+    dist = make_offspring(family, **params)
+    setup = np.random.default_rng(50)
+    rng, ref_rng = np.random.default_rng(51), np.random.default_rng(51)
+    generations = [(np.array([UP], dtype=np.int8), dist.sample_z(setup, 1)),
+                   (np.array([DOWN], dtype=np.int8), dist.sample_z(setup, 1)),
+                   (np.where(setup.integers(0, 2, 500) == 1, UP, DOWN).astype(np.int8),
+                    np.full(500, 2, dtype=np.int64))]
+    for n in (1000, 40_000):
+        orient = np.where(setup.integers(0, 2, n) == 1, UP, DOWN).astype(np.int8)
+        generations.append((orient, dist.sample_z(setup, n)))
+    assert int(generations[-1][1].sum()) // 2 >= 10 ** 5
+    for orient, z in generations:
+        out = _expand_generation(orient, z, rng)
+        ref = reference_expand_generation(orient, z, ref_rng)
+        assert out.dtype == ref.dtype == np.int8
+        assert np.array_equal(out, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
