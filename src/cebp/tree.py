@@ -41,7 +41,6 @@ DOWN = -1
 DEFAULT_NODE_BUDGET = 10 ** 7
 LEAF_BLOCK = 2 ** 14    # leaves per keyed block of sampled durations: it fixes every leaf's stream
 
-CHAR_ORIENTS = {"+": UP, "-": DOWN}
 SIGNS = np.array([DOWN, UP], dtype=np.int8)     # orientation of a pair draw of 0 or 1
 
 
@@ -160,12 +159,14 @@ def validate_tree(tree):
     """Check every structural invariant; returns None or the first violation.
 
     Below each node sit pairs that close on one direct pair repeating it; any
-    other pair has opposite signs, an excursion.  Leaf start times must
-    strictly increase, so only the last leaf may last 0.
+    other pair has opposite signs, an excursion.  Leaf durations must be
+    finite, and leaf start times strictly increase, so only the last leaf
+    may last 0.
     """
     m = tree.depth
     if tree.orientations[0].size != 1:
-        return "root generation must hold exactly one node"
+        return (f"generation 0: {tree.orientations[0].size} nodes, "
+                "where the root generation must hold exactly one node")
     for g in range(m + 1):
         o = tree.orientations[g]
         if not np.all(np.isin(o, (UP, DOWN))):
@@ -186,6 +187,9 @@ def validate_tree(tree):
     if d is not None:
         if d.size != tree.orientations[m].size:
             return f"{d.size} leaf durations for {tree.orientations[m].size} leaves"
+        infinite = np.flatnonzero(~np.isfinite(d))
+        if infinite.size:
+            return f"leaf {infinite[0]}: duration {d[infinite[0]]} is not finite"
         if np.any(d < 0):
             return "negative leaf duration"
         if np.any(d[:-1] == 0):

@@ -2,32 +2,25 @@
 
 Records carry (id, parent_id, level, position, orientation, z) plus, from
 ``CrossingTree.timing()``, duration and start_time when the tree has leaf
-durations.  Node ids run generation-major (root first, then generation 1 left
-to right, and so on), which makes the files diffable; ``_layout`` alone derives
-a tree's ids, parent ids, positions and z, the last from ``CrossingTree.z``
-(0 at the leaves).  The reader accepts a file exactly when its records are
-what ``write_trees`` writes for the trees they describe, in any line order:
-each field has its JSON type, each tree passes ``validate_tree``, each record
-equals its ``_layout`` entry, and each duration and start_time is, bit for
-bit, what ``timing()`` derives from the leaf durations.  Floats go through
-Python's shortest round-trip repr, so a file ``write_trees`` wrote reads back
-and writes out again byte for byte; ``paths.float_text`` formats them, once
-per distinct bit pattern in a column that repeats (mean-mode durations) and
-lazily one by one in a mostly-distinct one (start times).  Lines keep the
-``json.dumps`` layout (keys in the order above, then ``tree`` in multi-tree
-files), each built in one f-string; the sha256 pins in
-``tests/test_artifact_oracle.py`` hold those bytes fixed.
+durations.  Ids run generation-major, which makes the files diffable; the
+parent ids and z come from the children counts ``CrossingTree.z(g)``.  Floats
+are ``paths.float_text``'s shortest round-trip reprs, and lines keep the
+``json.dumps`` layout; the sha256 pins in ``tests/test_artifact_oracle.py``
+hold the bytes fixed.  A tree is its orientations and leaf durations, so the
+reader takes only those from each line, rebuilds the trees, and accepts the
+file exactly when it is, byte for byte, what ``write_trees`` writes for
+them; the writer writes only trees that pass ``validate_tree``.
 """
 
 import itertools
-import json
 import re
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import ConfigError
 from .paths import float_text
-from .tree import CHAR_ORIENTS, CrossingTree, validate_tree
+from .tree import DOWN, UP, CrossingTree, validate_tree
 
 __all__ = [
     "write_trees",
@@ -35,25 +28,19 @@ __all__ = [
 ]
 
 
-def _layout(tree):
-    """Per generation, the (level, ids, parent ids, positions, z) columns ``write_trees`` writes."""
-    first_id = 0
-    for g, orient in enumerate(tree.orientations):
-        n = orient.size
-        parents = (None,) if g == 0 else np.repeat(
-            np.arange(first_id - tree.orientations[g - 1].size, first_id), tree.z(g - 1)).tolist()
-        zs = tree.z(g).tolist() if g < tree.depth else itertools.repeat(0, n)
-        yield tree.root_level - g, range(first_id, first_id + n), parents, range(n), zs
-        first_id += n
-
-
 def _tree_lines(tree, tree_index=None):
     """The tree's NDJSON lines, one generation's columns at a time, floats from ``float_text``."""
     tail = "" if tree_index is None else f', "tree": {tree_index}'
     durations, starts = tree.timing()
-    for g, (level, ids, parents, positions, zs) in enumerate(_layout(tree)):
-        columns = (ids, ("null",) if g == 0 else parents, positions,
-                   np.where(tree.orientations[g] > 0, "+", "-").tolist(), zs)
+    first_id = 0
+    for g, orient in enumerate(tree.orientations):
+        n, level = orient.size, tree.root_level - g
+        parents = ("null",) if g == 0 else np.repeat(
+            np.arange(first_id - tree.orientations[g - 1].size, first_id), tree.z(g - 1)).tolist()
+        zs = tree.z(g).tolist() if g < tree.depth else itertools.repeat(0, n)
+        columns = (range(first_id, first_id + n), parents, range(n),
+                   np.where(orient > 0, "+", "-").tolist(), zs)
+        first_id += n
         if durations is None:
             yield from (f'{{"id": {i}, "parent_id": {p}, "level": {level}, "position": {j}, '
                         f'"orientation": "{o}", "z": {z}{tail}}}\n'
@@ -69,86 +56,68 @@ def _malformed(line_no, why):
     return ConfigError("MALFORMED_RECORD", f"line {line_no}: {why}")
 
 
-def _int(value):
-    return type(value) is int and abs(value) < 2 ** 63     # a JSON true is no integer
+# a whole line shaped as a record, newline optional; groups: level, orientation, duration, tree tag
+_RECORD = re.compile(
+    r'^\{"id": \d+, "parent_id": (?:\d+|null), "level": (-?\d{1,18}), "position": \d+, '
+    r'"orientation": "([+-])", "z": \d+'
+    r'(?:, "duration": (-?(?:\d+(?:\.\d+)?(?:e[-+]\d+)?|inf|nan)), "start_time": [^,}\n]+)?'
+    r'(?:, "tree": (\d+))?\}$\n?', re.MULTILINE)
 
 
-# field -> (check, what it wants); a present field that fails its check is malformed
-_FIELDS = {
-    **dict.fromkeys(("id", "level", "position", "z", "tree"), (_int, "an integer")),
-    "parent_id": (lambda v: v is None or _int(v), "an integer or null"),
-    "orientation": (lambda v: v in ("+", "-"), "'+' or '-'"),
-    **dict.fromkeys(("duration", "start_time"), (
-        lambda v: _int(v) or type(v) is float and bool(np.isfinite(v)), "a finite number")),
-}
-
-
-def _build_tree(rows):
-    with_durations = "duration" in rows[0][0]
-    for rec, line_no in rows:
-        if ("duration" in rec, "start_time" in rec) != (with_durations,) * 2:
-            raise _malformed(line_no, "inconsistent duration fields across records")
-    rows.sort(key=lambda rl: (-rl[0]["level"], rl[0]["position"]))
-    gens = [list(grp) for _, grp in itertools.groupby(rows, lambda rl: rl[0]["level"])]
-    orientations = [np.array([CHAR_ORIENTS[rec["orientation"]] for rec, _ in gen], dtype=np.int8)
-                    for gen in gens]
-    if with_durations:
-        stored = np.array([[rec[key] for rec, _ in rows] for key in ("duration", "start_time")],
-                          dtype=np.float64)
-    tree = CrossingTree(root_level=gens[0][0][0]["level"], orientations=orientations,
-                        leaf_durations=stored[0, -orientations[-1].size:] if with_durations else None)
+def _build_tree(records, line_no):
+    """The tree of one tag's records, which start at line ``line_no``."""
+    gens = [list(gen) for _, gen in itertools.groupby(records, itemgetter(0))]
+    starts = np.cumsum([0] + [len(gen) for gen in gens])   # each generation's first record
+    orientations = [np.where(np.frombuffer("".join(map(itemgetter(1), gen)).encode(), np.uint8)
+                             == ord("+"), UP, DOWN).astype(np.int8) for gen in gens]
+    texts = [record[2] for record in gens[-1]] if gens[0][0][2] else []     # if the root has one
+    if "" in texts:
+        raise _malformed(line_no + starts[-2] + texts.index(""), "a leaf without a duration")
+    tree = CrossingTree(int(gens[0][0][0]), orientations,
+                        np.array(texts, dtype=np.float64) if texts else None)
     why = validate_tree(tree)
-    if why is not None:     # reported at the first record of the generation it names
-        named = re.match(r"generation (\d+)", why)
-        g = int(named[1]) if named else 0 if why.startswith("root") else -1    # -1: the leaves
-        raise _malformed(min(line_no for _, line_no in gens[g]), why)
-    # a valid arena holds as many records per generation as its layout, so zip pairs them all
-    layout = itertools.chain.from_iterable(
-        zip(itertools.repeat(level), *columns) for level, *columns in _layout(tree))
-    for (rec, line_no), want in zip(rows, layout):
-        got = tuple(map(rec.get, ("level", "id", "parent_id", "position", "z")))
-        if got != want:
-            raise _malformed(line_no, f"(level, id, parent_id, position, z) = {got}, "
-                             f"where write_trees writes {want}")
-    if with_durations:
-        # every stored duration and start time must be, bit for bit, what the leaves give
-        want = np.array([np.concatenate(column) for column in tree.timing()])
-        bad = np.flatnonzero(np.any(stored.view(np.int64) != want.view(np.int64), axis=0))
-        if bad.size:
-            k = int(bad[0])
-            raise _malformed(rows[k][1], f"duration and start_time {stored[:, k].tolist()} are "
-                             f"not the leaf-duration sums {want[:, k].tolist()}")
+    if why is not None:     # reported at the leaf it names, else at the first record of its generation
+        gen, leaf = re.match(r"(?:generation (\d+)|leaf (\d+))?", why).groups()
+        raise _malformed(line_no + (starts[int(gen)] if gen else starts[-2] + int(leaf or 0)), why)
     return tree
 
 
+def _file_lines(trees):
+    return itertools.chain.from_iterable(
+        _tree_lines(tree, idx if len(trees) > 1 else None) for idx, tree in enumerate(trees))
+
+
 def write_trees(trees, path):
-    """Write one or more trees to an NDJSON file (a `tree` field separates them)."""
+    """Write one or more valid trees to an NDJSON file (a `tree` field separates them)."""
+    why = next(filter(None, map(validate_tree, trees)), None) if trees else "no trees to write"
+    if why is not None:
+        raise ConfigError("INVALID_Z", why)
     with open(path, "w") as fh:
-        for idx, tree in enumerate(trees):
-            fh.writelines(_tree_lines(tree, idx if len(trees) > 1 else None))
+        fh.writelines(_file_lines(trees))
 
 
 def read_trees(path):
-    """Read an NDJSON file holding one tree or several `tree`-tagged ones."""
-    groups = {}
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line.decode("utf-8"))
-            except ValueError as exc:   # not UTF-8, not JSON, or an integer too long to convert
-                raise _malformed(line_no, f"not valid UTF-8 JSON ({getattr(exc, 'msg', exc)})") from exc
-            if not isinstance(rec, dict):
-                raise _malformed(line_no, "a record must be a JSON object")
-            for key in ("id", "level", "position", "orientation", "z"):
-                if key not in rec:
-                    raise _malformed(line_no, f"missing field {key!r}")
-            for key, (ok, what) in _FIELDS.items():
-                if key in rec and not ok(rec[key]):
-                    raise _malformed(line_no, f"{key} must be {what}, got {rec[key]!r}")
-            groups.setdefault(rec.get("tree", 0), []).append((rec, line_no))
-    if not groups:
-        raise _malformed(1, "empty tree stream")
-    return [_build_tree(groups[key]) for key in sorted(groups)]
+    """The trees of a file ``write_trees`` wrote; any other file is MALFORMED_RECORD at a line.
+
+    A tree is a run of one tree tag, and a generation a run of one level.
+    """
+    # bytes that are not UTF-8 and a "\r" stay in the text, where no record matches them
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        text = fh.read()
+    records = _RECORD.findall(text)
+    if len(records) < text.count("\n") + (not text.endswith("\n")):   # report the first non-record
+        k, line = next((k, line) for k, line in enumerate(text.split("\n"))
+                       if not _RECORD.fullmatch(line))
+        raise _malformed(k + 1, f"{line!r} is not a record write_trees writes")
+    trees, line_no = [], 1
+    for _, tree_records in itertools.groupby(records, itemgetter(3)):
+        tree_records = list(tree_records)
+        trees.append(_build_tree(tree_records, line_no))
+        line_no += len(tree_records)
+    pos = 0
+    for line_no, want in enumerate(_file_lines(trees), start=1):
+        if not text.startswith(want, pos):
+            got = text[pos:text.find("\n", pos) + 1 or None]     # through its newline, if it has one
+            raise _malformed(line_no, f"read {got!r}, where write_trees writes {want!r}")
+        pos += len(want)
+    return trees

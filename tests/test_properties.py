@@ -5,13 +5,14 @@ Examples are derandomized so the suite gives the same verdict on every run.
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cebp.errors import CebpError
+from cebp.errors import CebpError, ConfigError
 from cebp.extract import extract_crossing_forest, forest_matches_tree
 from cebp.offspring import make_offspring
 from cebp.paths import SimulationConfig, ingest_csv, read_path_csv, simulate
@@ -111,3 +112,35 @@ def test_tree_reader_raises_only_cebp_errors(new_file, data, durations, n_trees,
         read_trees(bad)
     except CebpError:
         pass
+
+
+@settings(PROPERTY, max_examples=400)
+@given(data=st.data(), durations=st.booleans(), n_trees=st.integers(1, 2))
+def test_tree_reader_accepts_exactly_the_writer_bytes(new_file, data, durations, n_trees):
+    dist = make_offspring("geometric-pairs", p=0.5)
+    trees = [expand_tree(dist, UP, 2, np.random.default_rng(i)) for i in range(n_trees)]
+    if durations:
+        trees = [assign_durations(tree, dist, (i,), 2) for i, tree in enumerate(trees)]
+    good = new_file(".ndjson")
+    write_trees(trees, good)
+    lines = good.read_text().splitlines(keepends=True)
+    index = data.draw(st.integers(0, len(lines) - 1))
+    fields = [list(re.finditer(r'": ([^,}]+)', line)) for line in lines]
+    field = data.draw(st.sampled_from(fields[index]))
+    # the field's own value, a value from anywhere in the file, any JSON value, or any text
+    text = data.draw(st.one_of(st.just(field[1]),
+                               st.sampled_from(sorted({f[1] for line in fields for f in line})),
+                               JSON_VALUES.map(json.dumps), st.text(max_size=4)))
+    lines[index] = lines[index][:field.start(1)] + text + lines[index][field.end(1):]
+    edited = new_file(".ndjson")
+    edited.write_text("".join(lines))
+    try:
+        back = read_trees(edited)
+    except ConfigError as err:
+        assert err.code == "MALFORMED_RECORD"
+        line_no = re.match(r"line ([1-9]\d*): ", err.args[0])
+        assert line_no and int(line_no[1]) <= len(lines)
+        return
+    again = new_file(".ndjson")
+    write_trees(back, again)
+    assert again.read_bytes() == edited.read_bytes()

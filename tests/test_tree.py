@@ -206,6 +206,9 @@ def test_timing_without_leaf_durations_is_none():
     ([0.25, -0.25, 0.5, 0.5], "negative leaf duration"),
     ([0.25, 0.0, 0.25, 0.5], "only the last leaf duration may be 0"),
     ([0.25, 0.25, 0.5, 0.0], None),
+    ([0.25, np.nan, 0.5, 0.5], "leaf 1: duration nan is not finite"),
+    ([np.inf, 0.25, 0.5, 0.5], "leaf 0: duration inf is not finite"),
+    ([0.25, 0.25, 0.5, -np.inf], "leaf 3: duration -inf is not finite"),
 ])
 def test_validator_checks_the_leaf_durations(leaves, why):
     tree = expand_tree(make_offspring("fixed-pairs", b=2), UP, 1, np.random.default_rng(20))

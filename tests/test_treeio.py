@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from cebp.errors import ConfigError
 from cebp.offspring import make_offspring
 from cebp.paths import SimulationConfig, simulate
-from cebp.tree import CHAR_ORIENTS, DOWN, UP, CrossingTree, assign_durations, expand_tree, validate_tree
-from cebp.treeio import _FIELDS, _malformed, read_trees, write_trees
+from cebp.tree import DOWN, UP, CrossingTree, assign_durations, expand_tree, validate_tree
+from cebp.treeio import read_trees, write_trees
 
 
 def trees_equal(a, b):
@@ -78,7 +79,7 @@ def test_internal_timing_one_ulp_off_the_leaves_rejected(tmp_path, line, key):
         read_text("\n".join(lines), tmp_path)
     assert err.value.code == "MALFORMED_RECORD"
     assert f"line {line + 1}:" in str(err.value)
-    assert "leaf-duration sums" in str(err.value)
+    assert "where write_trees writes" in str(err.value)
 
 
 def test_empty_stream_rejected(tmp_path):
@@ -100,7 +101,8 @@ def test_bad_json_line_reported(tmp_path):
 
 def test_non_utf8_bytes_reported(tmp_path):
     path = tmp_path / "bin.ndjson"
-    path.write_bytes(b"\n\xff\xfe")
+    one_node = expand_tree(make_offspring("fixed-pairs", b=2), UP, 0, np.random.default_rng(4))
+    path.write_bytes(tree_text(one_node, tmp_path).encode() + b"\xff\xfe")
     with pytest.raises(ConfigError) as err:
         read_trees(path)
     assert err.value.code == "MALFORMED_RECORD"
@@ -120,7 +122,8 @@ def test_missing_field_reported(tmp_path):
     rec = {"id": 0, "parent_id": None, "level": 0, "position": 0, "orientation": "+"}
     with pytest.raises(ConfigError) as err:
         read_text(json.dumps(rec), tmp_path)
-    assert "z" in str(err.value)
+    assert err.value.code == "MALFORMED_RECORD"
+    assert "line 1:" in str(err.value)
 
 
 def test_inconsistent_counts_rejected(tmp_path):
@@ -231,6 +234,36 @@ def test_reference_cases_cover_exponent_reprs_and_tree_tags():
     assert '"tree": 1}' in "".join(reference_lines(trees))
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_non_finite_leaf_duration_rejected_at_its_line(tmp_path, text):
+    lines = tree_text(mean_tree(1, 12, family="fixed-pairs", b=2), tmp_path).splitlines(keepends=True)
+    lines[3] = re.sub(r'"duration": [^,]+', f'"duration": {text}', lines[3])
+    with pytest.raises(ConfigError) as err:
+        read_text("".join(lines), tmp_path)
+    assert err.value.code == "MALFORMED_RECORD"
+    assert str(err.value).startswith(f"MALFORMED_RECORD: line 4: leaf 2: duration {text} is not finite")
+
+
+def arena(orientations):
+    return CrossingTree(root_level=0, orientations=[np.array(o, dtype=np.int8) for o in orientations])
+
+
+@pytest.mark.parametrize("trees, why", [
+    ([arena([[UP, UP]])], "generation 0: 2 nodes, where the root generation must hold exactly one node"),
+    ([arena([[UP], [UP, UP, UP]])], "generation 1: 3 nodes, an odd number"),
+    ([mean_tree(1, 13, family="fixed-pairs", b=2), arena([[UP], [UP, DOWN]])],
+     "generation 0: 1 node(s) over 0 direct pair(s)"),
+    ([], "no trees to write"),
+], ids=["two-roots", "odd-generation", "no-direct-pair", "no-trees"])
+def test_writer_refuses_what_validate_tree_refuses(tmp_path, trees, why):
+    path = tmp_path / "trees.ndjson"
+    with pytest.raises(ConfigError) as err:
+        write_trees(trees, path)
+    assert (err.value.code, err.value.exit_code) == ("INVALID_Z", 2)
+    assert str(err.value) == f"INVALID_Z: {why}"
+    assert not path.exists()
+
+
 def test_two_roots_rejected(tmp_path):
     recs = [{"id": i, "parent_id": None, "level": 0, "position": i, "orientation": "+", "z": 2}
             for i in range(2)]
@@ -303,8 +336,28 @@ def test_records_off_the_writer_layout_rejected(tmp_path, edit, line):
     assert f"line {line}:" in str(err.value)
 
 
+def reference_malformed(line_no, why):
+    return ConfigError("MALFORMED_RECORD", f"line {line_no}: {why}")
+
+
+def reference_int(value):
+    return type(value) is int and abs(value) < 2 ** 63     # a JSON true is no integer
+
+
+# field -> (check, what it wants); a present field that fails its check is malformed
+REFERENCE_FIELDS = {
+    **dict.fromkeys(("id", "level", "position", "z", "tree"), (reference_int, "an integer")),
+    "parent_id": (lambda v: v is None or reference_int(v), "an integer or null"),
+    "orientation": (lambda v: v in ("+", "-"), "'+' or '-'"),
+    **dict.fromkeys(("duration", "start_time"), (
+        lambda v: reference_int(v) or type(v) is float and bool(np.isfinite(v)), "a finite number")),
+}
+
+CHAR_ORIENTS = {"+": UP, "-": DOWN}
+
+
 def reference_build_tree(rows):
-    """The reader before it compared records with ``_layout``, kept as its reference."""
+    """A per-record JSON reader that accepts any line order, kept as the reference."""
     root_level = max(rec["level"] for rec, _ in rows)
     by_level = {}
     for rec, line_no in rows:
@@ -314,13 +367,14 @@ def reference_build_tree(rows):
     with_durations = "duration" in rows[0][0]
     for g in range(depth + 1):
         if g not in by_level:
-            raise _malformed(rows[-1][1], f"no records at level {root_level - g}")
+            raise reference_malformed(rows[-1][1], f"no records at level {root_level - g}")
         recs = sorted(by_level[g], key=lambda rl: rl[0]["position"])
         for want, (rec, line_no) in enumerate(recs):
             if rec["position"] != want:
-                raise _malformed(line_no, f"positions at level {rec['level']} are not 0..{len(recs) - 1}")
+                raise reference_malformed(
+                    line_no, f"positions at level {rec['level']} are not 0..{len(recs) - 1}")
             if ("duration" in rec, "start_time" in rec) != (with_durations,) * 2:
-                raise _malformed(line_no, "inconsistent duration fields across records")
+                raise reference_malformed(line_no, "inconsistent duration fields across records")
         ordered += recs
         orientations.append(np.array(
             [CHAR_ORIENTS[rec["orientation"]] for rec, _ in recs], dtype=np.int8
@@ -328,7 +382,7 @@ def reference_build_tree(rows):
         if g < depth or any(rec["z"] for rec, _ in recs):
             zs.append(np.array([rec["z"] for rec, _ in recs], dtype=np.int64))
     if len(zs) == depth + 1:        # leaves carried nonzero z
-        raise _malformed(rows[-1][1], "leaf records must have z = 0")
+        raise reference_malformed(rows[-1][1], "leaf records must have z = 0")
     if with_durations:
         stored = np.array([[rec[key] for rec, _ in ordered] for key in ("duration", "start_time")],
                           dtype=np.float64)
@@ -338,7 +392,7 @@ def reference_build_tree(rows):
     if why is None and not all(np.array_equal(z, tree.z(g)) for g, z in enumerate(zs)):
         why = "children counts disagree with the orientations"
     if why is not None:
-        raise _malformed(rows[-1][1], why)
+        raise reference_malformed(rows[-1][1], why)
     # the arena is valid, so its children counts give every node's parent id
     ids, parents = (np.fromiter((rec.get(key) for rec, _ in ordered), dtype=object,
                                 count=len(ordered)) for key in ("id", "parent_id"))
@@ -347,7 +401,7 @@ def reference_build_tree(rows):
     bad = np.flatnonzero((ids != np.arange(ids.size)) | (parents != want_parents))
     if bad.size:
         k = int(bad[0])
-        raise _malformed(ordered[k][1], f"id {ids[k]!r} with parent_id {parents[k]!r} breaks "
+        raise reference_malformed(ordered[k][1], f"id {ids[k]!r} with parent_id {parents[k]!r} breaks "
                          f"the generation-major layout (want id {k}, parent_id {want_parents[k]!r})")
     if with_durations:
         # every stored duration and start time must be, bit for bit, what the leaves give
@@ -355,7 +409,7 @@ def reference_build_tree(rows):
         bad = np.flatnonzero(np.any(stored.view(np.int64) != want.view(np.int64), axis=0))
         if bad.size:
             k = int(bad[0])
-            raise _malformed(ordered[k][1], f"duration and start_time {stored[:, k].tolist()} are "
+            raise reference_malformed(ordered[k][1], f"duration and start_time {stored[:, k].tolist()} are "
                              f"not the leaf-duration sums {want[:, k].tolist()}")
     return tree
 
@@ -370,18 +424,18 @@ def reference_read_trees(path):
             try:
                 rec = json.loads(line.decode("utf-8"))
             except ValueError as exc:   # not UTF-8, not JSON, or an integer too long to convert
-                raise _malformed(line_no, f"not valid UTF-8 JSON ({getattr(exc, 'msg', exc)})") from exc
+                raise reference_malformed(line_no, f"not valid UTF-8 JSON ({getattr(exc, 'msg', exc)})") from exc
             if not isinstance(rec, dict):
-                raise _malformed(line_no, "a record must be a JSON object")
+                raise reference_malformed(line_no, "a record must be a JSON object")
             for key in ("id", "level", "position", "orientation", "z"):
                 if key not in rec:
-                    raise _malformed(line_no, f"missing field {key!r}")
-            for key, (ok, what) in _FIELDS.items():
+                    raise reference_malformed(line_no, f"missing field {key!r}")
+            for key, (ok, what) in REFERENCE_FIELDS.items():
                 if key in rec and not ok(rec[key]):
-                    raise _malformed(line_no, f"{key} must be {what}, got {rec[key]!r}")
+                    raise reference_malformed(line_no, f"{key} must be {what}, got {rec[key]!r}")
             groups.setdefault(rec.get("tree", 0), []).append((rec, line_no))
     if not groups:
-        raise _malformed(1, "empty tree stream")
+        raise reference_malformed(1, "empty tree stream")
     return [reference_build_tree(groups[key]) for key in sorted(groups)]
 
 
@@ -418,7 +472,7 @@ def outcome(read, path):
     try:
         return "ok", read(path)
     except Exception as exc:        # any raise, so a raw one shows as a difference
-        return type(exc).__name__, getattr(exc, "code", None)
+        return type(exc).__name__, getattr(exc, "code", None), str(exc)
 
 
 def test_reader_accepts_what_the_reference_reader_accepts(tmp_path):
@@ -437,16 +491,24 @@ def test_reader_accepts_what_the_reference_reader_accepts(tmp_path):
         base_recs.append([json.loads(line) for line in path.read_text().splitlines()])
     rng = np.random.default_rng(36)
     counts = {"ok": 0, "rejected": 0}
+    identical = 0
     for k in range(4000):
-        path = tmp_path / f"{k}.ndjson"
+        path, again = tmp_path / f"{k}.ndjson", tmp_path / f"{k}.again.ndjson"
         recs = mutate(base_recs[k % len(base_recs)], rng)
         path.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
         got, want = outcome(read_trees, path), outcome(reference_read_trees, path)
-        path.unlink()       # now: thousands of files left for pytest to clean up are slow to remove
         if want[0] == "ok":
+            write_trees(want[1], again)
+            want = ("ok", want[1], again.read_bytes() == path.read_bytes())
+            again.unlink()
+        path.unlink()       # now: thousands of files left for pytest to clean up are slow to remove
+        if want[0] == "ok" and want[2]:
             assert got[0] == "ok", (k, recs, got)
             assert len(got[1]) == len(want[1]) and all(map(trees_equal, got[1], want[1])), (k, recs)
+            identical += 1
         else:
-            assert got == want, (k, recs)
+            assert got[:2] == ("ConfigError", "MALFORMED_RECORD"), (k, recs, got)
+            assert re.match(r"MALFORMED_RECORD: line [1-9]\d*: ", got[2]), (k, recs, got)
         counts["ok" if want[0] == "ok" else "rejected"] += 1
     assert min(counts.values()) > 400, counts
+    assert identical > 400, identical
