@@ -7,7 +7,8 @@ Subcommands: simulate | analyze | verify | check-dist | ingest.  Exit codes:
 A JSON config file supplies defaults; explicit flags override it.  Every
 artifact embeds {tool, version, command, config} so a run can be reproduced
 from its own output.  ``--emit-plots`` adds two-column CSVs next to the main
-artifact for plotting without extra dependencies.
+artifact for plotting without extra dependencies; ``analyze --emit-forest``
+adds the extracted crossing forest as NDJSON, one crossing per line.
 """
 
 import argparse
@@ -178,7 +179,8 @@ def cmd_analyze(args):
         )
     except AnalysisError as exc:
         report["scale_invariance"] = {"error": str(exc)}
-    _write_forest(forest, f"{args.out}.forest.ndjson")
+    if args.emit_forest:
+        _write_forest(forest, f"{args.out}.forest.ndjson")
     _write_json(f"{args.out}.estimates.json", report)
     if args.emit_plots:
         ns = sorted(n for n in forest.levels if forest.levels[n].n)
@@ -381,8 +383,12 @@ def _build():
                       help="path sidecar JSON (default: <path>.json if present)")
     p_an.add_argument("--levels", help="inclusive lattice range lo:hi")
     p_an.add_argument("--mu", type=float, help="scale factor for invariance check")
-    p_an.add_argument("--min-crossings", type=int, default=100)
-    p_an.add_argument("--emit-plots", action="store_true")
+    p_an.add_argument("--min-crossings", type=int, default=100,
+                      help="least crossings per level in the invariance check (>= 1)")
+    p_an.add_argument("--emit-plots", action="store_true",
+                      help="also write <out>.mean_duration.csv")
+    p_an.add_argument("--emit-forest", action="store_true",
+                      help="also write the crossing forest to <out>.forest.ndjson")
     p_an.add_argument("--out", default="cebp_analysis")
     p_an.set_defaults(fn=cmd_analyze)
 

@@ -227,6 +227,8 @@ def duration_scale_invariance(forest, mu, min_crossings=100):
     """
     if not 0 < mu < np.inf:
         raise ConfigError("INVALID_CONFIG", f"mu must be finite and > 0, got {mu!r}")
+    if min_crossings < 1:
+        raise ConfigError("INVALID_CONFIG", f"min_crossings must be >= 1, got {min_crossings}")
     eligible = [
         n for n in sorted(forest.levels) if forest.levels[n].n >= min_crossings
     ]

@@ -74,7 +74,7 @@ def artifacts(tmp_path_factory):
             ("simulate", "--family", "custom", "--pmf", '{"2": 0.5, "4": 0.5}', *TILED,
              "--seed", "6", "--out", "cust"),
             ("analyze", "--path", "mean.csv", "--levels", "-5:0", "--emit-plots",
-             "--out", "an"),
+             "--emit-forest", "--out", "an"),
             ("ingest", "--path", "ext.csv", "--value-col", "1", "--anchor", "--out", "ing"),
             ("check-dist", "--family", "poisson-pairs", "--lambda", "1", "--out", "chk_pois1.json"),
             ("check-dist", "--family", "poisson-pairs", "--lambda", "0.5",

@@ -87,7 +87,7 @@ def test_analyze_parses_negative_level_range(tmp_path, monkeypatch):
             "--depth", "6", "--root-mode", "tile", "--horizon", "8",
             "--seed", "11", "--out", "run")
     code = run_cli("analyze", "--path", "run.csv", "--levels", "-3:0",
-                   "--out", "an")
+                   "--emit-forest", "--out", "an")
     assert code == 0
     report = json.loads((tmp_path / "an.estimates.json").read_text())
     assert report["config"]["levels"] == [-3, 0]
@@ -108,12 +108,29 @@ def test_analyze_emit_plots_writes_two_column_csv(tmp_path, monkeypatch):
     assert len(lines) >= 3
 
 
+def test_analyze_writes_the_forest_only_on_request(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_cli("simulate", "--family", "geometric-pairs", "--p", "0.5",
+            "--depth", "7", "--seed", "5", "--out", "run")
+    an = ("analyze", "--path", "run.csv", "--levels", "-7:0", "--emit-plots")
+    assert run_cli(*an, "--out", "off") == 0
+    assert run_cli(*an, "--emit-forest", "--out", "on") == 0
+    assert sorted(p.name for p in tmp_path.glob("*.forest.ndjson")) == ["on.forest.ndjson"]
+    for suffix in (".estimates.json", ".mean_duration.csv"):
+        assert (tmp_path / f"off{suffix}").read_bytes() == (tmp_path / f"on{suffix}").read_bytes()
+    (tmp_path / "cfg.json").write_text(json.dumps({"emit_forest": True}))
+    assert run_cli(*an, "--config", "cfg.json", "--out", "cfg") == 0
+    assert (tmp_path / "cfg.forest.ndjson").read_bytes() == \
+           (tmp_path / "on.forest.ndjson").read_bytes()
+
+
 def test_analyze_forest_matches_json_reference(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_cli("simulate", "--family", "geometric-pairs", "--p", "0.5", "--depth", "7",
             "--mode", "sampled", "--root-mode", "tile", "--horizon", "2",
             "--seed", "5", "--no-trees", "--out", "run")
-    assert run_cli("analyze", "--path", "run.csv", "--levels", "-7:0", "--out", "an") == 0
+    assert run_cli("analyze", "--path", "run.csv", "--levels", "-7:0", "--emit-forest",
+                   "--out", "an") == 0
     forest = extract_crossing_forest(read_path_csv("run.csv", "run.json"), (-7, 0))
     expected = [
         json.dumps({
@@ -380,8 +397,9 @@ def test_analyze_reruns_from_its_estimates(tmp_path, monkeypatch):
     run_cli("simulate", "--family", "geometric-pairs", "--p", "0.5",
             "--depth", "6", "--seed", "11", "--out", "run")
     assert run_cli("analyze", "--path", "run.csv", "--levels", "-4:0",
-                   "--out", "a1") == 0
-    assert run_cli("analyze", "--config", "a1.estimates.json", "--out", "a2") == 0
+                   "--emit-forest", "--out", "a1") == 0
+    assert run_cli("analyze", "--config", "a1.estimates.json", "--emit-forest",
+                   "--out", "a2") == 0
     assert (tmp_path / "a1.estimates.json").read_bytes() == \
            (tmp_path / "a2.estimates.json").read_bytes()
     assert (tmp_path / "a1.forest.ndjson").read_bytes() == \
@@ -481,6 +499,18 @@ def test_analyze_refuses_a_bad_mu(tmp_path, monkeypatch, mu):
     assert run_cli("analyze", "--path", "run.csv", "--levels", "-6:0", "--mu", mu) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.json",
                                                           "run.trees.ndjson"]
+
+
+@pytest.mark.parametrize("least", ["0", "-5"])
+def test_analyze_min_crossings_below_one_is_invalid_config(tmp_path, monkeypatch, capsys,
+                                                          least):
+    monkeypatch.chdir(tmp_path)
+    run_cli("simulate", "--family", "geometric-pairs", "--p", "0.5",
+            "--depth", "6", "--seed", "11", "--out", "run")
+    assert run_cli("analyze", "--path", "run.csv", "--levels", "-6:0",
+                   "--min-crossings", least, "--out", "an") == 2
+    assert "INVALID_CONFIG" in capsys.readouterr().err
+    assert not list(tmp_path.glob("an.*"))
 
 
 def test_cli_import_loads_no_scipy():
