@@ -7,25 +7,21 @@ Subcommands: simulate | analyze | verify | check-dist | ingest.  Exit codes:
 A JSON config file supplies defaults; explicit flags override it.  Every
 artifact embeds {tool, version, command, config} so a run can be reproduced
 from its own output.  ``--emit-plots`` adds two-column CSVs next to the main
-artifact for plotting without extra dependencies; ``analyze --emit-forest``
-adds the extracted crossing forest as NDJSON, one crossing per line.
+artifact for plotting without extra dependencies.
 """
 
 import argparse
-import itertools
 import json
 import os
 import re
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import EXIT_ANALYSIS, EXIT_CONFIG, AnalysisError, CebpError, ConfigError
 from .extract import duration_scale_invariance, estimate_hurst, extract_crossing_forest
 from .offspring import check_assumption_gw, check_assumption_z, make_offspring
-from .paths import (SimulationConfig, float_text, ingest_csv, read_path_csv, simulate,
-                    write_path_csv, write_xy_csv)
+from .paths import (SimulationConfig, ingest_csv, read_path_csv, simulate, write_path_csv,
+                    write_xy_csv)
 from .treeio import write_trees
 from .verify import MODULUS_SPECS, SUITES, run_suite
 
@@ -138,22 +134,6 @@ def cmd_simulate(args):
     return 0
 
 
-def _write_forest(forest, path):
-    """NDJSON, one crossing per line with sorted keys, a level's columns at a time.
-
-    A level's records share passage times (end i is start i + 1): format each once.
-    """
-    with open(path, "w") as fh:
-        for level, rec in sorted(forest.levels.items()):
-            text = list(float_text(np.concatenate([rec.start_times[:1], rec.end_times])))
-            fh.writelines(
-                f'{{"end_time": {e}, "level": {level}, "orientation": "{o}", "position": {i}, '
-                f'"start_time": {s}, "subcrossing_count": {c}}}\n'
-                for e, o, i, s, c in zip(itertools.islice(text, 1, None),
-                                         np.where(rec.orientations > 0, "+", "-").tolist(),
-                                         range(rec.n), text, rec.subcrossing_counts.tolist()))
-
-
 def cmd_analyze(args):
     if args.path is None or args.levels is None:
         raise ConfigError("INVALID_CONFIG", "analyze needs --path and --levels")
@@ -179,8 +159,6 @@ def cmd_analyze(args):
         )
     except AnalysisError as exc:
         report["scale_invariance"] = {"error": str(exc)}
-    if args.emit_forest:
-        _write_forest(forest, f"{args.out}.forest.ndjson")
     _write_json(f"{args.out}.estimates.json", report)
     if args.emit_plots:
         ns = sorted(n for n in forest.levels if forest.levels[n].n)
@@ -387,8 +365,6 @@ def _build():
                       help="least crossings per level in the invariance check (>= 1)")
     p_an.add_argument("--emit-plots", action="store_true",
                       help="also write <out>.mean_duration.csv")
-    p_an.add_argument("--emit-forest", action="store_true",
-                      help="also write the crossing forest to <out>.forest.ndjson")
     p_an.add_argument("--out", default="cebp_analysis")
     p_an.set_defaults(fn=cmd_analyze)
 

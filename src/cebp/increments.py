@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import AnalysisError, ConfigError
 from .extract import extract_passage_times
-from .offspring import OffspringDistribution, make_offspring
 from .paths import SimulationConfig, path_records, window_deviation
 from .rng import STREAM_GAP, STREAM_INCREMENT, STREAM_QUERY, substream
 from .tailfit import TailFit, fit_log_minus_log, quantile_grid
@@ -85,16 +84,15 @@ def increment_records(dist, t, n_records, master_seed,
     One path and one anchor per record; record i depends only on
     (master_seed, i), so results are bit-identical for any worker count.
     """
-    if not isinstance(dist, OffspringDistribution):
-        dist = make_offspring(**dist)
-    if not 0 < t < 0.9 * INCREMENT_HORIZON:
-        raise ConfigError(
-            "INVALID_CONFIG", f"need 0 < t < 0.9 * horizon {INCREMENT_HORIZON}, got t={t}"
-        )
     config = SimulationConfig(
         offspring=dist, depth=depth, duration_mode="mean", root_mode="tile",
         target_horizon=INCREMENT_HORIZON, keep_trees=False,
     )
+    config.offspring = dist = config.resolve_offspring()  # once, not once per path
+    if not 0 < t < 0.9 * INCREMENT_HORIZON:
+        raise ConfigError(
+            "INVALID_CONFIG", f"need 0 < t < 0.9 * horizon {INCREMENT_HORIZON}, got t={t}"
+        )
     plain, sup = np.array(path_records(
         config, (master_seed, STREAM_INCREMENT), n_records,
         partial(_increment_record, t), workers,

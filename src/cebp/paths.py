@@ -92,8 +92,12 @@ class SimulationConfig:
             raise ConfigError("INVALID_CONFIG", f"seed must be >= 0, got {self.seed!r}")
         if self.node_budget < 1:
             raise ConfigError("INVALID_CONFIG", f"node budget must be >= 1, got {self.node_budget}")
-        if self.root_mode == "tile" and not self.target_horizon > 0:
-            raise ConfigError("INVALID_CONFIG", "tile mode needs target_horizon > 0")
+        if self.w_generations < 0:
+            raise ConfigError("INVALID_CONFIG",
+                              f"w_generations must be >= 0, got {self.w_generations}")
+        if not 0 < self.target_horizon < np.inf:
+            raise ConfigError("INVALID_CONFIG",
+                              f"target_horizon must be finite and > 0, got {self.target_horizon}")
 
 
 def _one_tree(dist, config, index):

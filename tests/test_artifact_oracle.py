@@ -10,11 +10,15 @@ samples behind the ``w-tail`` suite are pinned directly instead of its report.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from cebp.branching import sample_W
 from cebp.cli import main
+from cebp.extract import extract_crossing_forest
 from cebp.offspring import make_offspring
+from cebp.paths import read_path_csv
+from cebp.treeio import read_trees
 
 SIMULATE = ("simulate", "--family", "geometric-pairs", "--p", "0.5", "--depth", "5")
 # Sampled, tiled runs of the two families whose draws take their own code:
@@ -37,7 +41,6 @@ EXTERNAL_CSV = (
 # The sampled runs (tile, pois, cust) draw each root's leaf durations in
 # LEAF_BLOCK blocks, block b on the stream (seed, STREAM_DURATION, root, b).
 PINS = {
-    "an.forest.ndjson": "12bf2a12595bd06b5aef9ed93b5b0c5779be261b6f6fb6f9a266cacf157e0cf8",
     "an.mean_duration.csv": "fa383fcdc1ef230156410f852cb59d40874eef71bc51cb597c128a8dd19c91c2",
     "chk_pois1.json": "581db288fdbff9b2b264e1a1e76c05b90ad51f488126678c909ec75bd8934caa",
     "chk_pois05.json": "6ef41a0a3ad10bf556dcf9fd6a0283364e02595ea7f7791c7f21688283b60c3b",
@@ -73,8 +76,7 @@ def artifacts(tmp_path_factory):
              "--seed", "5", "--out", "pois"),
             ("simulate", "--family", "custom", "--pmf", '{"2": 0.5, "4": 0.5}', *TILED,
              "--seed", "6", "--out", "cust"),
-            ("analyze", "--path", "mean.csv", "--levels", "-5:0", "--emit-plots",
-             "--emit-forest", "--out", "an"),
+            ("analyze", "--path", "mean.csv", "--levels", "-5:0", "--emit-plots", "--out", "an"),
             ("ingest", "--path", "ext.csv", "--value-col", "1", "--anchor", "--out", "ing"),
             ("check-dist", "--family", "poisson-pairs", "--lambda", "1", "--out", "chk_pois1.json"),
             ("check-dist", "--family", "poisson-pairs", "--lambda", "0.5",
@@ -90,6 +92,22 @@ def artifacts(tmp_path_factory):
 def test_artifact_sha256_is_pinned(artifacts, name):
     digest = hashlib.sha256((artifacts / name).read_bytes()).hexdigest()
     assert digest == PINS[name]
+
+
+def test_extracted_forest_is_the_pinned_tree_exactly(artifacts):
+    """The crossings extracted from the pinned path are its pinned tree, bit for bit."""
+    forest = extract_crossing_forest(
+        read_path_csv(str(artifacts / "mean.csv"), str(artifacts / "mean.json")), (-5, 0))
+    (tree,) = read_trees(artifacts / "mean.trees.ndjson")
+    durations, starts = tree.timing()
+    assert sorted(forest.levels) == [tree.root_level - g for g in range(tree.depth, -1, -1)]
+    for g in range(tree.depth + 1):
+        rec = forest[tree.root_level - g]
+        counts = tree.z(g) if g < tree.depth else np.zeros(rec.n, dtype=np.int64)
+        assert np.array_equal(rec.orientations, tree.orientations[g])
+        assert np.array_equal(rec.subcrossing_counts, counts)
+        assert np.array_equal(rec.start_times, starts[g])
+        assert np.array_equal(rec.end_times, starts[g] + durations[g])
 
 
 # sha256 of sample_W(dist, 12, 2000, seed=1).samples.tobytes(), drawn in W_BLOCK blocks

@@ -13,7 +13,6 @@ import pytest
 import cebp
 from cebp.cli import main
 from cebp.errors import AnalysisError, BudgetError, CebpError, ConfigError
-from cebp.extract import extract_crossing_forest
 from cebp.paths import read_path_csv
 
 
@@ -86,14 +85,11 @@ def test_analyze_parses_negative_level_range(tmp_path, monkeypatch):
     run_cli("simulate", "--family", "geometric-pairs", "--p", "0.5",
             "--depth", "6", "--root-mode", "tile", "--horizon", "8",
             "--seed", "11", "--out", "run")
-    code = run_cli("analyze", "--path", "run.csv", "--levels", "-3:0",
-                   "--emit-forest", "--out", "an")
+    code = run_cli("analyze", "--path", "run.csv", "--levels", "-3:0", "--out", "an")
     assert code == 0
     report = json.loads((tmp_path / "an.estimates.json").read_text())
     assert report["config"]["levels"] == [-3, 0]
-    levels = {rec["level"] for rec in map(
-        json.loads, (tmp_path / "an.forest.ndjson").read_text().splitlines())}
-    assert levels <= {-3, -2, -1, 0}
+    assert sorted(map(int, report["estimates"]["per_level_counts"])) == [-3, -2, -1, 0]
 
 
 def test_analyze_emit_plots_writes_two_column_csv(tmp_path, monkeypatch):
@@ -108,45 +104,15 @@ def test_analyze_emit_plots_writes_two_column_csv(tmp_path, monkeypatch):
     assert len(lines) >= 3
 
 
-def test_analyze_writes_the_forest_only_on_request(tmp_path, monkeypatch):
+def test_analyze_writes_no_forest(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_cli("simulate", "--family", "geometric-pairs", "--p", "0.5",
-            "--depth", "7", "--seed", "5", "--out", "run")
-    an = ("analyze", "--path", "run.csv", "--levels", "-7:0", "--emit-plots")
+            "--depth", "5", "--seed", "5", "--out", "run")
+    an = ("analyze", "--path", "run.csv", "--levels", "-5:0")
+    assert run_cli(*an, "--emit-forest", "--out", "on") == 2
     assert run_cli(*an, "--out", "off") == 0
-    assert run_cli(*an, "--emit-forest", "--out", "on") == 0
-    assert sorted(p.name for p in tmp_path.glob("*.forest.ndjson")) == ["on.forest.ndjson"]
-    for suffix in (".estimates.json", ".mean_duration.csv"):
-        assert (tmp_path / f"off{suffix}").read_bytes() == (tmp_path / f"on{suffix}").read_bytes()
-    (tmp_path / "cfg.json").write_text(json.dumps({"emit_forest": True}))
-    assert run_cli(*an, "--config", "cfg.json", "--out", "cfg") == 0
-    assert (tmp_path / "cfg.forest.ndjson").read_bytes() == \
-           (tmp_path / "on.forest.ndjson").read_bytes()
-
-
-def test_analyze_forest_matches_json_reference(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    run_cli("simulate", "--family", "geometric-pairs", "--p", "0.5", "--depth", "7",
-            "--mode", "sampled", "--root-mode", "tile", "--horizon", "2",
-            "--seed", "5", "--no-trees", "--out", "run")
-    assert run_cli("analyze", "--path", "run.csv", "--levels", "-7:0", "--emit-forest",
-                   "--out", "an") == 0
-    forest = extract_crossing_forest(read_path_csv("run.csv", "run.json"), (-7, 0))
-    expected = [
-        json.dumps({
-            "level": level,
-            "position": i,
-            "start_time": float(rec.start_times[i]),
-            "end_time": float(rec.end_times[i]),
-            "orientation": "+" if rec.orientations[i] > 0 else "-",
-            "subcrossing_count": int(rec.subcrossing_counts[i]),
-        }, sort_keys=True) + "\n"
-        for level, rec in sorted(forest.levels.items())
-        for i in range(rec.n)
-    ]
-    assert any("e-05, " in line for line in expected)
-    with open(tmp_path / "an.forest.ndjson") as fh:
-        assert fh.readlines() == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "off.estimates.json", "run.csv", "run.json", "run.trees.ndjson"]
 
 
 def test_verify_unknown_suite_is_usage_error(tmp_path, monkeypatch):
@@ -396,14 +362,10 @@ def test_analyze_reruns_from_its_estimates(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_cli("simulate", "--family", "geometric-pairs", "--p", "0.5",
             "--depth", "6", "--seed", "11", "--out", "run")
-    assert run_cli("analyze", "--path", "run.csv", "--levels", "-4:0",
-                   "--emit-forest", "--out", "a1") == 0
-    assert run_cli("analyze", "--config", "a1.estimates.json", "--emit-forest",
-                   "--out", "a2") == 0
+    assert run_cli("analyze", "--path", "run.csv", "--levels", "-4:0", "--out", "a1") == 0
+    assert run_cli("analyze", "--config", "a1.estimates.json", "--out", "a2") == 0
     assert (tmp_path / "a1.estimates.json").read_bytes() == \
            (tmp_path / "a2.estimates.json").read_bytes()
-    assert (tmp_path / "a1.forest.ndjson").read_bytes() == \
-           (tmp_path / "a2.forest.ndjson").read_bytes()
 
 
 def test_analyze_estimates_mu_once(tmp_path, monkeypatch):
@@ -554,10 +516,15 @@ W_TAIL = ("verify", "w-tail", "--samples", "10")
     ((*SIM, "--depth", "3"), {"no_trees": "yes"}),
     ((*SIM, "--depth", "3"), {"horizon": True}),
     (W_TAIL, {"workers": 1.5}),
+    ((*SIM, "--depth", "3", "--w-generations", "-1"), None),
+    ((*SIM, "--depth", "3", "--horizon", "-1"), None),
+    ((*SIM, "--depth", "3", "--horizon", "nan"), None),
+    (("analyze", "--path", "missing.csv", "--levels", "-3:0"), {"emit_forest": True}),
 ], ids=["seed-flag", "w-tail-seed-flag", "workers-0", "workers-minus-3", "node-budget-0",
         "node-budget-minus-5", "seed-minus-3",
         "seed-float", "seed-bool", "w-generations-float", "depth-float", "no-trees-string",
-        "horizon-bool", "workers-float"])
+        "horizon-bool", "workers-float", "mean-w-generations-minus-1", "single-horizon-minus-1",
+        "single-horizon-nan", "analyze-emit-forest-key"])
 def test_option_of_the_wrong_type_or_range_is_invalid_config(tmp_path, monkeypatch, capsys,
                                                              argv, config):
     monkeypatch.chdir(tmp_path)

@@ -134,7 +134,6 @@ def test_remaining_time_on_simulated_path():
 
 
 def test_increment_records_build_the_offspring_law_once(monkeypatch):
-    import cebp.increments
     import cebp.paths
 
     calls = []
@@ -143,8 +142,7 @@ def test_increment_records_build_the_offspring_law_once(monkeypatch):
         calls.append(args)
         return make_offspring(*args, **kwargs)
 
-    for module in (cebp.increments, cebp.paths):
-        monkeypatch.setattr(module, "make_offspring", counting)
+    monkeypatch.setattr(cebp.paths, "make_offspring", counting)
     increment_records(GEOM, t=0.05, n_records=20, master_seed=3, depth=4)
     assert len(calls) == 1
 
