@@ -40,6 +40,8 @@ def extract_passage_times(path, level):
     """
     if path.n_knots < 2:
         raise ConfigError("INVALID_CONFIG", "path needs at least 2 knots")
+    if not -1022 <= level <= 1023:     # 2**level and the forest's 2**-level stay finite and exact
+        raise ConfigError("INVALID_CONFIG", f"lattice level {level} is outside -1022..1023")
     if level < path.resolution_level:
         raise AnalysisError(
             "LEVEL_TOO_FINE",
@@ -222,8 +224,8 @@ def duration_scale_invariance(forest, mu, min_crossings=100):
 
     Scaled duration at level n is mu**(-n) * D^n; under the canonical
     construction its law does not depend on n, so adjacent-level KS distances
-    stay at the two-sample noise floor.  Passing a wrong ``mu`` breaks the
-    scaling and inflates the distances (negative control).
+    stay at the two-sample noise floor.  KS ignores a common scale, so a pair
+    compares D^n with D^(n+1) / mu.  A wrong ``mu`` inflates them (negative control).
     """
     if not 0 < mu < np.inf:
         raise ConfigError("INVALID_CONFIG", f"mu must be finite and > 0, got {mu!r}")
@@ -236,8 +238,8 @@ def duration_scale_invariance(forest, mu, min_crossings=100):
     for n in eligible:
         if n + 1 not in forest.levels or forest.levels[n + 1].n < min_crossings:
             continue
-        lower = forest.levels[n].durations * float(mu) ** (-n)
-        upper = forest.levels[n + 1].durations * float(mu) ** (-(n + 1))
+        lower = forest.levels[n].durations
+        upper = forest.levels[n + 1].durations / float(mu)
         pairs.append({
             "levels": (int(n), int(n + 1)),
             "ks": _ks_distance(lower, upper),

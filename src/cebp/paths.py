@@ -328,6 +328,8 @@ def ingest_csv(csv_file, time_col=0, value_col=1, anchor_origin=False):
     ``anchor_origin`` shifts values so the path starts at 0 (extraction
     anchors lattices at the starting value either way).
     """
+    if time_col < 0 or value_col < 0:
+        raise ConfigError("INVALID_CONFIG", f"columns count from 0, got {time_col} and {value_col}")
     times, values = _read_columns(csv_file, time_col, value_col)
     with np.errstate(over="ignore", invalid="ignore"):
         if anchor_origin:

@@ -1,9 +1,9 @@
 """Crossing-tree serialization: NDJSON, one node per line.
 
-Records carry (id, parent_id, level, position, orientation, z) plus, from
+Records carry (level, position, orientation, z) plus, from
 ``CrossingTree.timing()``, duration and start_time when the tree has leaf
-durations.  Ids run generation-major, which makes the files diffable; the
-parent ids and z come from the children counts ``CrossingTree.z(g)``.  Floats
+durations.  Lines run generation-major and z is the children count
+``CrossingTree.z(g)``, so line order and z give each node's parent.  Floats
 are ``paths.float_text``'s shortest round-trip reprs, and lines keep the
 ``json.dumps`` layout; the sha256 pins in ``tests/test_artifact_oracle.py``
 hold the bytes fixed.  A tree is its orientations and leaf durations, so the
@@ -32,23 +32,17 @@ def _tree_lines(tree, tree_index=None):
     """The tree's NDJSON lines, one generation's columns at a time, floats from ``float_text``."""
     tail = "" if tree_index is None else f', "tree": {tree_index}'
     durations, starts = tree.timing()
-    first_id = 0
     for g, orient in enumerate(tree.orientations):
         n, level = orient.size, tree.root_level - g
-        parents = ("null",) if g == 0 else np.repeat(
-            np.arange(first_id - tree.orientations[g - 1].size, first_id), tree.z(g - 1)).tolist()
         zs = tree.z(g).tolist() if g < tree.depth else itertools.repeat(0, n)
-        columns = (range(first_id, first_id + n), parents, range(n),
-                   np.where(orient > 0, "+", "-").tolist(), zs)
-        first_id += n
+        columns = (range(n), np.where(orient > 0, "+", "-").tolist(), zs)
         if durations is None:
-            yield from (f'{{"id": {i}, "parent_id": {p}, "level": {level}, "position": {j}, '
-                        f'"orientation": "{o}", "z": {z}{tail}}}\n'
-                        for i, p, j, o, z in zip(*columns))
+            yield from (f'{{"level": {level}, "position": {j}, "orientation": "{o}", "z": {z}{tail}}}\n'
+                        for j, o, z in zip(*columns))
         else:
-            yield from (f'{{"id": {i}, "parent_id": {p}, "level": {level}, "position": {j}, '
-                        f'"orientation": "{o}", "z": {z}, "duration": {d}, "start_time": {s}{tail}}}\n'
-                        for i, p, j, o, z, d, s in zip(
+            yield from (f'{{"level": {level}, "position": {j}, "orientation": "{o}", "z": {z}, '
+                        f'"duration": {d}, "start_time": {s}{tail}}}\n'
+                        for j, o, z, d, s in zip(
                             *columns, float_text(durations[g]), float_text(starts[g])))
 
 
@@ -58,8 +52,7 @@ def _malformed(line_no, why):
 
 # a whole line shaped as a record, newline optional; groups: level, orientation, duration, tree tag
 _RECORD = re.compile(
-    r'^\{"id": \d+, "parent_id": (?:\d+|null), "level": (-?\d{1,18}), "position": \d+, '
-    r'"orientation": "([+-])", "z": \d+'
+    r'^\{"level": (-?\d{1,18}), "position": \d+, "orientation": "([+-])", "z": \d+'
     r'(?:, "duration": (-?(?:\d+(?:\.\d+)?(?:e[-+]\d+)?|inf|nan)), "start_time": [^,}\n]+)?'
     r'(?:, "tree": (\d+))?\}$\n?', re.MULTILINE)
 

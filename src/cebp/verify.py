@@ -158,6 +158,8 @@ def _remaining_record(level, queries, path):
 def verify_remaining_time(family=None, depth=9, level=-6, n_paths=10,
                           queries_per_path=10_000, seed=0, workers=1):
     """Pooled remaining-time chord over sampled-duration paths; target -1."""
+    if queries_per_path < 1:        # before any path is simulated
+        raise ConfigError("INVALID_CONFIG", f"need queries_per_path >= 1, got {queries_per_path}")
     spec = GEOM_HALF if family is None else family
     config = SimulationConfig(offspring=make_offspring(**spec), depth=depth,
                               duration_mode="sampled", keep_trees=False)

@@ -48,17 +48,17 @@ PINS = {
     "ing.csv": "b0bae2980597a8bf2459c497b21fbbf04e591f94d8790991972b0497eb3ab5a0",
     "cust.csv": "32acbdc7a7cd9da369191bcabb0c1761902380c05afeb43e599459e7b1865f08",
     "cust.json": "a715197b9fcc20e578a1efe9ad54697856f834fd3e4f47743cb4a3ce07565763",
-    "cust.trees.ndjson": "2291550e428aa67a3fda6857761969d12567d54f9f567625446b6ead7dd6640a",
+    "cust.trees.ndjson": "bcd0bffba77a6c41c17ad6ecf5b2c4d75a60bf8f2a68e073b5ce281938d1439a",
     "ing.json": "ca800666e1a5debb01d907fa2790afa6b943b2dbc396d1bd1e148b92202baf80",
     "mean.csv": "2e02cb221b83629fa780a2c7ff8e1aaace514d6086dda007339f6b35134501a2",
     "mean.json": "ef8557a7b51349bad4b09bb36a0856ad3776185c00b6be3b3a34597b2db1949a",
-    "mean.trees.ndjson": "a5fb4044943923bb744c6886b52287e68e56ffecc0878ee7c75d11b2c53464dd",
+    "mean.trees.ndjson": "1e238650b4e69c37a4f59eb211c30f7d172034fd4a78e490eae438ad2631d641",
     "pois.csv": "ebd6db93acf85a9fa540cc0060ab8fe8b9c7ed5fc44cf5c7e8eaef35c1dbdac7",
     "pois.json": "6355feb29226da04360db750e86083b6a92cfe371e0cd7feafaf9dee3b3db8e6",
-    "pois.trees.ndjson": "e2532415361b579b511fd09cbb0dced7d5b76ca1853d71193218aa44726206fb",
+    "pois.trees.ndjson": "9c14be68ff631777fb9add274f14b67a515d3b0fa936b8c137d7bbb3fa9c6132",
     "tile.csv": "fb7f61ba85d52cb60e7ad406dd9182a1965c5533b065bb8cfb4263d8f1f11838",
     "tile.json": "3016c7db8f943a76d3eb8915e84ada0566f8d5220f5f0c33d6ae7e72f635c708",
-    "tile.trees.ndjson": "5b57c508d0e8fcff35d843203d357bc4d95131f609ad165d9bb1eecd493e76ff",
+    "tile.trees.ndjson": "e478d34dba621db436c524dcd442a340c1a03125dfdfee51e62240bf322a288e",
 }
 
 

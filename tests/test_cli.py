@@ -475,6 +475,32 @@ def test_analyze_min_crossings_below_one_is_invalid_config(tmp_path, monkeypatch
     assert not list(tmp_path.glob("an.*"))
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--path", "ramp.csv", "--levels", "1100:1101"),
+    ("verify", "remaining-time", "--level", "2000", "--paths", "1"),
+    ("verify", "scale-invariance", "--levels", "1500:1501"),
+], ids=["analyze", "remaining-time", "scale-invariance"])
+def test_lattice_level_past_the_double_exponent_is_invalid_config(tmp_path, monkeypatch, capsys,
+                                                                  argv):
+    monkeypatch.chdir(tmp_path)
+    write_ramp(tmp_path / "ramp.csv", n=4)
+    assert run_cli(*argv, "--out", "out") == 2
+    assert "INVALID_CONFIG: lattice level" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "ramp.csv"]
+
+
+def test_analyze_of_a_walk_on_a_fine_lattice_writes_its_estimates(tmp_path, monkeypatch):
+    """Steps of 2^-700: the scale check must not take mu^700, which overflows a double."""
+    monkeypatch.chdir(tmp_path)
+    steps = np.random.default_rng(12).choice([-1.0, 1.0], size=4000) * 2.0 ** -700
+    values = np.concatenate([[0.0], np.cumsum(steps)]).tolist()
+    (tmp_path / "walk.csv").write_text("t,x\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values)))
+    assert run_cli("ingest", "--path", "walk.csv", "--out", "tiny") == 0
+    assert run_cli("analyze", "--path", "tiny.csv", "--levels", "-700:-695", "--out", "an") == 0
+    report = json.loads((tmp_path / "an.estimates.json").read_text())
+    assert report["scale_invariance"]["pairs"][0]["levels"] == [-700, -699]
+
+
 def test_cli_import_loads_no_scipy():
     code = "import sys, cebp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = run_python("-c", code)
@@ -520,11 +546,12 @@ W_TAIL = ("verify", "w-tail", "--samples", "10")
     ((*SIM, "--depth", "3", "--horizon", "-1"), None),
     ((*SIM, "--depth", "3", "--horizon", "nan"), None),
     (("analyze", "--path", "missing.csv", "--levels", "-3:0"), {"emit_forest": True}),
+    (("ingest", "--path", "missing.csv", "--time-col", "-2", "--value-col", "-1"), None),
 ], ids=["seed-flag", "w-tail-seed-flag", "workers-0", "workers-minus-3", "node-budget-0",
         "node-budget-minus-5", "seed-minus-3",
         "seed-float", "seed-bool", "w-generations-float", "depth-float", "no-trees-string",
         "horizon-bool", "workers-float", "mean-w-generations-minus-1", "single-horizon-minus-1",
-        "single-horizon-nan", "analyze-emit-forest-key"])
+        "single-horizon-nan", "analyze-emit-forest-key", "ingest-negative-columns"])
 def test_option_of_the_wrong_type_or_range_is_invalid_config(tmp_path, monkeypatch, capsys,
                                                              argv, config):
     monkeypatch.chdir(tmp_path)

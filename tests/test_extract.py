@@ -83,6 +83,20 @@ def test_level_too_fine_rejected():
     assert err.value.code == "LEVEL_TOO_FINE"
 
 
+@pytest.mark.parametrize("level", [-1023, 1024, 5000])
+def test_level_past_the_double_exponent_rejected(level):
+    path = _raw_path([0.0, 1.0], [0.0, 1.0], -1100)
+    with pytest.raises(ConfigError) as err:
+        extract_crossing_forest(path, (level, level))
+    assert err.value.code == "INVALID_CONFIG"
+
+
+@pytest.mark.parametrize("level", [-1022, 1023])
+def test_levels_at_the_double_exponent_ends_extracted(level):
+    path = _raw_path([0.0, 1.0], [0.0, 2.0 ** level], -1100)
+    assert extract_crossing_forest(path, (level, level))[level].n == 1
+
+
 def test_no_complete_crossing_at_top_level():
     path = _raw_path([0.0, 0.5], [0.0, 0.5], -1)
     with pytest.raises(AnalysisError) as err:

@@ -110,8 +110,8 @@ def test_non_utf8_bytes_reported(tmp_path):
 
 
 def test_overlong_integer_reported(tmp_path):
-    rec = {"id": 0, "parent_id": None, "level": 0, "position": 0, "orientation": "+", "z": 0}
-    line = json.dumps(rec).replace('"id": 0', '"id": ' + "9" * 5000)
+    rec = {"level": 0, "position": 0, "orientation": "+", "z": 0}
+    line = json.dumps(rec).replace('"level": 0', '"level": ' + "9" * 5000)
     with pytest.raises(ConfigError) as err:
         read_text(line, tmp_path)
     assert err.value.code == "MALFORMED_RECORD"
@@ -119,7 +119,7 @@ def test_overlong_integer_reported(tmp_path):
 
 
 def test_missing_field_reported(tmp_path):
-    rec = {"id": 0, "parent_id": None, "level": 0, "position": 0, "orientation": "+"}
+    rec = {"level": 0, "position": 0, "orientation": "+"}
     with pytest.raises(ConfigError) as err:
         read_text(json.dumps(rec), tmp_path)
     assert err.value.code == "MALFORMED_RECORD"
@@ -164,17 +164,11 @@ def reference_lines(trees):
     """The NDJSON lines of ``trees``, one ``json.dumps`` call per node."""
     for index, tree in enumerate(trees):
         durations, starts = tree.timing()
-        gen_start = np.concatenate([[0], np.cumsum(tree.generation_sizes)])
         for g in range(tree.depth + 1):
             orient = tree.orientations[g]
             z = tree.z(g) if g < tree.depth else np.zeros(orient.size, dtype=np.int64)
-            if g > 0:
-                off = tree.child_offsets(g - 1)
-                parent_of = np.searchsorted(off, np.arange(orient.size), side="right") - 1
             for i in range(orient.size):
                 rec = {
-                    "id": int(gen_start[g] + i),
-                    "parent_id": None if g == 0 else int(gen_start[g - 1] + parent_of[i]),
                     "level": tree.root_level - g,
                     "position": i,
                     "orientation": "+" if orient[i] > 0 else "-",
@@ -265,10 +259,8 @@ def test_writer_refuses_what_validate_tree_refuses(tmp_path, trees, why):
 
 
 def test_two_roots_rejected(tmp_path):
-    recs = [{"id": i, "parent_id": None, "level": 0, "position": i, "orientation": "+", "z": 2}
-            for i in range(2)]
-    recs += [{"id": 2 + i, "parent_id": 7, "level": -1, "position": i, "orientation": "+", "z": 0}
-             for i in range(4)]
+    recs = [{"level": 0, "position": i, "orientation": "+", "z": 2} for i in range(2)]
+    recs += [{"level": -1, "position": i, "orientation": "+", "z": 0} for i in range(4)]
     with pytest.raises(ConfigError) as err:
         read_text("".join(json.dumps(rec) + "\n" for rec in recs), tmp_path)
     assert err.value.code == "MALFORMED_RECORD"
@@ -276,33 +268,26 @@ def test_two_roots_rejected(tmp_path):
     assert "line 1:" in str(err.value)
 
 
-@pytest.mark.parametrize("key, value", [("parent_id", 2), ("parent_id", None), ("id", 9)])
-def test_ids_off_the_generation_major_layout_rejected(tmp_path, key, value):
-    dist = make_offspring("fixed-pairs", b=2)
-    lines = tree_text(expand_tree(dist, UP, 2, np.random.default_rng(4)), tmp_path).splitlines()
-    rec = json.loads(lines[7])
-    rec[key] = value
-    lines[7] = json.dumps(rec)
+def test_file_with_node_ids_rejected_at_line_1(tmp_path):
+    """Trees files once led each line with an ``id`` and a ``parent_id``; such a file no longer reads."""
+    recs = [{"id": i, "parent_id": None if i == 0 else 0, **rec} for i, rec in enumerate(THREE_NODES)]
     with pytest.raises(ConfigError) as err:
-        read_text("\n".join(lines), tmp_path)
+        read_text("".join(json.dumps(rec) + "\n" for rec in recs), tmp_path)
     assert err.value.code == "MALFORMED_RECORD"
-    assert "line 8" in str(err.value)
+    assert str(err.value).startswith("MALFORMED_RECORD: line 1: ")
 
 
 # a valid three-node tree: the root and its direct pair, with durations
 THREE_NODES = [
-    {"id": 0, "parent_id": None, "level": 0, "position": 0, "orientation": "+", "z": 2,
-     "duration": 1.0, "start_time": 0.0},
-    {"id": 1, "parent_id": 0, "level": -1, "position": 0, "orientation": "+", "z": 0,
-     "duration": 0.5, "start_time": 0.0},
-    {"id": 2, "parent_id": 0, "level": -1, "position": 1, "orientation": "+", "z": 0,
-     "duration": 0.5, "start_time": 0.5},
+    {"level": 0, "position": 0, "orientation": "+", "z": 2, "duration": 1.0, "start_time": 0.0},
+    {"level": -1, "position": 0, "orientation": "+", "z": 0, "duration": 0.5, "start_time": 0.0},
+    {"level": -1, "position": 1, "orientation": "+", "z": 0, "duration": 0.5, "start_time": 0.5},
 ]
 
 
 @pytest.mark.parametrize("index, key, value", [
     (0, "z", 2.7), (0, None, 5), (1, "level", "a"), (2, "duration", "x"), (0, None, [1]),
-    (0, "z", True), (1, "id", 1.0), (1, "parent_id", "0"), (2, "position", None),
+    (0, "z", True), (2, "position", None),
     (2, "start_time", float("nan")), (1, "orientation", ["+"]), (0, "tree", "a"),
 ])
 def test_field_of_the_wrong_json_type_rejected(tmp_path, index, key, value):
@@ -346,8 +331,7 @@ def reference_int(value):
 
 # field -> (check, what it wants); a present field that fails its check is malformed
 REFERENCE_FIELDS = {
-    **dict.fromkeys(("id", "level", "position", "z", "tree"), (reference_int, "an integer")),
-    "parent_id": (lambda v: v is None or reference_int(v), "an integer or null"),
+    **dict.fromkeys(("level", "position", "z", "tree"), (reference_int, "an integer")),
     "orientation": (lambda v: v in ("+", "-"), "'+' or '-'"),
     **dict.fromkeys(("duration", "start_time"), (
         lambda v: reference_int(v) or type(v) is float and bool(np.isfinite(v)), "a finite number")),
@@ -393,16 +377,6 @@ def reference_build_tree(rows):
         why = "children counts disagree with the orientations"
     if why is not None:
         raise reference_malformed(rows[-1][1], why)
-    # the arena is valid, so its children counts give every node's parent id
-    ids, parents = (np.fromiter((rec.get(key) for rec, _ in ordered), dtype=object,
-                                count=len(ordered)) for key in ("id", "parent_id"))
-    want_parents = np.concatenate([[None], np.repeat(
-        np.arange(ids.size), np.concatenate([*zs, np.zeros(orientations[-1].size, np.int64)]))])
-    bad = np.flatnonzero((ids != np.arange(ids.size)) | (parents != want_parents))
-    if bad.size:
-        k = int(bad[0])
-        raise reference_malformed(ordered[k][1], f"id {ids[k]!r} with parent_id {parents[k]!r} breaks "
-                         f"the generation-major layout (want id {k}, parent_id {want_parents[k]!r})")
     if with_durations:
         # every stored duration and start time must be, bit for bit, what the leaves give
         want = np.array([np.concatenate(column) for column in tree.timing()])
@@ -427,7 +401,7 @@ def reference_read_trees(path):
                 raise reference_malformed(line_no, f"not valid UTF-8 JSON ({getattr(exc, 'msg', exc)})") from exc
             if not isinstance(rec, dict):
                 raise reference_malformed(line_no, "a record must be a JSON object")
-            for key in ("id", "level", "position", "orientation", "z"):
+            for key in ("level", "position", "orientation", "z"):
                 if key not in rec:
                     raise reference_malformed(line_no, f"missing field {key!r}")
             for key, (ok, what) in REFERENCE_FIELDS.items():
@@ -445,7 +419,7 @@ def mutate(recs, rng):
     for _ in range(rng.integers(1, 3)):
         kind = rng.integers(7)
         a, b = rng.integers(len(recs), size=2)
-        key = str(rng.choice(sorted(set(recs[a]) | {"parent_id"})))
+        key = str(rng.choice(sorted(set(recs[a]) | {"id"})))    # "id": a field no line holds
         if kind == 0:
             pool = [-1, 0, 1, 2, 3, 4, 7, None, True, "+", "-", 0.5, recs[b].get(key)]
             if isinstance(recs[a].get(key), int):

@@ -98,6 +98,18 @@ def test_modulus_refuses_its_level_range_before_any_path(monkeypatch):
     assert err.value.code == "INVALID_CONFIG"
 
 
+def test_remaining_time_refuses_its_query_count_before_any_path(monkeypatch):
+    import cebp.paths
+
+    def no_path(config):
+        raise AssertionError("a path was simulated before the query count was checked")
+
+    monkeypatch.setattr(cebp.paths, "simulate", no_path)
+    with pytest.raises(ConfigError) as err:
+        V.verify_remaining_time(n_paths=2, queries_per_path=0)
+    assert err.value.code == "INVALID_CONFIG"
+
+
 def test_increments_suite_small():
     report = V.verify_increments(n_records=600, depth=5, seed=4)
     assert report["suite"] == "increments"
