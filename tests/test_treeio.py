@@ -277,6 +277,19 @@ def test_file_with_node_ids_rejected_at_line_1(tmp_path):
     assert str(err.value).startswith("MALFORMED_RECORD: line 1: ")
 
 
+@pytest.mark.parametrize("key, value", [("parent_id", 2), ("parent_id", None), ("id", 9)])
+def test_ids_off_the_generation_major_layout_rejected(tmp_path, key, value):
+    """Lines carry no ids: one id put back into line 8 of a valid file is refused at line 8."""
+    dist = make_offspring("fixed-pairs", b=2)
+    lines = tree_text(expand_tree(dist, UP, 2, np.random.default_rng(4)), tmp_path).splitlines()
+    assert read_text("".join(line + "\n" for line in lines), tmp_path)
+    lines[7] = json.dumps({key: value, **json.loads(lines[7])})
+    with pytest.raises(ConfigError) as err:
+        read_text("".join(line + "\n" for line in lines), tmp_path)
+    assert err.value.code == "MALFORMED_RECORD"
+    assert str(err.value).startswith("MALFORMED_RECORD: line 8: ")
+
+
 # a valid three-node tree: the root and its direct pair, with durations
 THREE_NODES = [
     {"level": 0, "position": 0, "orientation": "+", "z": 2, "duration": 1.0, "start_time": 0.0},
