@@ -312,13 +312,17 @@ def cmd_check_dist(args):
 def cmd_ingest(args):
     if args.path is None:
         raise ConfigError("INVALID_CONFIG", "ingest needs --path")
+    outputs = f"{args.out}.csv", f"{args.out}.json"
+    if os.path.exists(args.path) and any(os.path.exists(out) and os.path.samefile(out, args.path)
+                                         for out in outputs):
+        raise ConfigError("INVALID_CONFIG", f"--out {args.out} would overwrite {args.path}")
     path = ingest_csv(args.path, time_col=args.time_col,
                       value_col=args.value_col, anchor_origin=args.anchor)
     path.meta.update(_artifact("ingest", {
         "path": args.path, "time_col": args.time_col,
         "value_col": args.value_col, "anchor": args.anchor,
     }))
-    write_path_csv(path, f"{args.out}.csv", f"{args.out}.json")
+    write_path_csv(path, *outputs)
     print(f"wrote {args.out}.csv ({path.n_knots} knots, "
           f"resolution level {path.resolution_level})")
     return 0

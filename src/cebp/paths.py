@@ -23,6 +23,7 @@ record.
 
 import itertools
 import json
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -243,6 +244,29 @@ def write_path_csv(path, csv_file, sidecar_file):
         fh.write("\n")
 
 
+def _load_columns(csv_file, time_col, value_col):
+    """The columns as numpy's C reader parses them, if it takes the file and they pass the checks.
+
+    Its converter is the one ``float()`` ends in, so a field it takes reads as the same double.
+    """
+    try:
+        with open(csv_file, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")          # loadtxt only warns when there are no rows
+            parts = fh.readline().split(",")
+            try:
+                float(parts[time_col]), float(parts[value_col])
+                fh.seek(0)                          # line 1 is a row, not a header
+            except (ValueError, IndexError):
+                pass
+            rows = np.loadtxt(fh, delimiter=",", usecols=(time_col, value_col),
+                              comments=None, ndmin=2)
+    except (ValueError, OverflowError, UserWarning):  # ValueError covers UnicodeDecodeError
+        return None
+    if len(rows) >= 2 and np.isfinite(rows).all() and (np.diff(rows[:, 0]) > 0).all():
+        return tuple(rows.T.copy())
+    return None
+
+
 def _read_columns(csv_file, time_col=0, value_col=1):
     """Validated time and value columns of a CSV file.
 
@@ -250,7 +274,14 @@ def _read_columns(csv_file, time_col=0, value_col=1):
     that is not UTF-8, any other unparsable row, a non-finite number or
     fewer than 2 rows raise PARSE_ERROR; time that does not strictly
     increase raises NON_MONOTONE_TIME.  Row errors name their line.
+
+    ``_load_columns`` tries numpy's C reader first.  The line loop runs only
+    when that gives None: to name the line of a fault, or to read what numpy
+    refuses and ``float()`` takes (whitespace-only lines, ``1_0``, non-ASCII digits).
     """
+    loaded = _load_columns(csv_file, time_col, value_col)
+    if loaded is not None:
+        return loaded
     times, values, skipped = [], [], []
     with open(csv_file, encoding="utf-8") as fh:
         try:

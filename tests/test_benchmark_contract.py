@@ -11,9 +11,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cebp.cli import main
+from cebp.paths import read_path_csv
 
 CHECKS_FILE = Path(__file__).parents[1] / "perfbench" / "checks.py"
 DEPTH = 5
@@ -47,6 +49,13 @@ def test_roundtrip_checks_pass_on_the_cli_artifacts(checks, run):
     assert checks.check_csv_lattice(times, values, DEPTH) == []
     assert checks.check_leaves_match_steps(tree, values, DEPTH) == []
     assert checks.check_estimates(tree, estimates, DEPTH) == []
+
+
+def test_benchmark_and_program_read_the_same_path(checks, run):
+    """The benchmark checks the very arrays that `analyze` reads from the CSV."""
+    path = read_path_csv(run / "run.csv")
+    for ours, theirs in zip((path.times, path.values), checks.read_path_csv(run / "run.csv")):
+        assert np.array_equal(ours.view(np.int64), theirs.view(np.int64))
 
 
 def test_tree_reader_needs_the_z_field(checks, run, tmp_path):

@@ -334,6 +334,19 @@ def test_ingest_normalizes_external_csv(tmp_path, monkeypatch):
     assert path.meta["command"] == "ingest"
 
 
+@pytest.mark.parametrize("path, out", [("keep.csv", "keep"), ("./keep.csv", "{dir}/keep"),
+                                       ("keep.json", "keep")],
+                         ids=["same-stem", "relative-input-absolute-out", "sidecar-name"])
+def test_ingest_refuses_to_overwrite_its_input(tmp_path, monkeypatch, capsys, path, out):
+    monkeypatch.chdir(tmp_path)
+    original = b"t,x,note\n0,0,a\n1,1,b\n2,0,c\n"
+    (tmp_path / path).write_bytes(original)
+    assert run_cli("ingest", "--path", path, "--out", out.format(dir=tmp_path)) == 2
+    assert "INVALID_CONFIG" in capsys.readouterr().err
+    assert (tmp_path / path).read_bytes() == original
+    assert sorted(p.name for p in tmp_path.iterdir()) == [Path(path).name]
+
+
 def test_ingest_bad_file_is_config_error(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.csv").write_text("time,value\n0,0\nnot,a,row\n")

@@ -1,6 +1,7 @@
 import itertools
 import operator
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,145 @@ def test_csv_that_is_not_utf8_is_a_parse_error(tmp_path):
             reader(f)
         assert err.value.code == "PARSE_ERROR"
         assert "bin.csv" in str(err.value)
+
+
+def reference_columns(csv_file, time_col=0, value_col=1):
+    """The line loop that read every path CSV before the C reader was tried first."""
+    times, values, skipped = [], [], []
+    with open(csv_file, encoding="utf-8") as fh:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                parts = line.split(",")
+                try:
+                    t = float(parts[time_col])
+                    v = float(parts[value_col])
+                except (ValueError, IndexError) as exc:
+                    if line_no > 1 and line.strip():
+                        raise ConfigError(
+                            "PARSE_ERROR", f"line {line_no}: cannot parse {line.strip()!r}"
+                        ) from exc
+                    skipped.append(line_no)
+                    continue
+                times.append(t)
+                values.append(v)
+        except UnicodeDecodeError as exc:
+            raise ConfigError("PARSE_ERROR", f"{csv_file}: not UTF-8 text ({exc.reason})") from exc
+    times = np.asarray(times)
+    values = np.asarray(values)
+    if times.size < 2:
+        raise ConfigError("PARSE_ERROR", "a path needs at least 2 rows")
+
+    def line_of(row):
+        return np.setdiff1d(np.arange(1, times.size + len(skipped) + 1), skipped)[row]
+
+    finite = np.isfinite(times) & np.isfinite(values)
+    if not finite.all():
+        raise ConfigError(
+            "PARSE_ERROR", f"line {line_of(np.argmin(finite))}: time and value must be finite"
+        )
+    rising = np.diff(times) > 0
+    if not rising.all():
+        raise ConfigError(
+            "NON_MONOTONE_TIME",
+            f"time column is not strictly increasing at line {line_of(np.argmin(rising) + 1)}",
+        )
+    return times, values
+
+
+READER_CASES = {
+    "plain": b"time,value\n0.0,0.0\n0.5,0.25\n1.0,-0.25\n",
+    "no-header": b"0,0\n1,1\n2,0\n",
+    "no-final-newline": b"time,value\n0,0\n1,1\n2,0",
+    "crlf": b"time,value\r\n0,0\r\n1,1\r\n2,0\r\n",
+    "lone-cr": b"time,value\r0,0\r1,1\r2,0\r",
+    "blank-lines": b"\ntime,value\n\n0,0\n\n1,1\n2,0\n\n",
+    "whitespace-only-line": b"time,value\n0,0\n \t \n1,1\n2,0\n",
+    "spaces-around-fields": b"0 , 0\n 1,1 \n2,\t0\n",
+    "signed-zero-and-subnormal": b"-0.0,-0.0\n5e-324,1\n1,2.2250738585072014e-308\n",
+    "many-digits": b"0,0.1000000000000000055511151231257827\n1,1.0000000000000002\n2,1e-300\n",
+    "three-columns": b"t,x,note\n0,0,a\n1,1,b\n2,0,c\n",
+    "ragged-extra-columns": b"0,0\n1,1,x,y\n2,0\n",
+    "missing-column": b"time,value\n0,0\n1\n2,0\n",
+    "trailing-comma": b"0,0,\n1,1,\n2,0,\n",
+    "empty-field": b"0,0\n1,\n2,0\n",
+    "nan": b"0,0\n1,nan\n2,0\n",
+    "inf-time": b"0,0\ninf,1\n",
+    "overflow-to-inf": b"0,0\n1,1e400\n2,0\n",
+    "underflow-to-zero": b"0,1e-400\n1,1\n",
+    "underscore": b"0,0\n1_0,1\n20,0\n",
+    "quoted": b'0,0\n"1",1\n2,0\n',
+    "hash-row": b"0,0\n1,1\n#2,0\n",
+    "hash-header": b"# time,value\n0,0\n1,1\n",
+    "fortran-exponent": b"0,0\n1d0,1\n",
+    "hex": b"0,0\n0x10,1\n",
+    "fullwidth-digits": "0,0\n\uff11,1\n2,0\n".encode(),
+    "nbsp-around-field": "0,\xa00\n1,1\xa0\n".encode(),
+    "next-line-char": "0,0\x851,1\n2,0\n".encode(),
+    "nul-in-row": b"0,0\n1,1\x00\n2,0\n",
+    "bom-header": b"\xef\xbb\xbftime,value\n0,0\n1,1\n",
+    "bom-on-a-row": b"\xef\xbb\xbf0,0\n1,1\n2,0\n",
+    "not-utf8": b"0,0\n1,\xff\n",
+    "not-utf8-header": b"\xfftime,value\n0,0\n1,1\n",
+    "decreasing-time": b"0,0\n2,1\n1,0\n",
+    "repeated-time": b"time,value\n0,0\n\n1,1\n1,0\n",
+    "empty": b"",
+    "only-blank-lines": b"\n\n \n",
+    "header-only": b"time,value\n",
+    "single-row": b"time,value\n0,0\n",
+    "unparsable-line-2": b"0,0\nnope\n1,1\n",
+}
+COLUMNS = [(0, 1), (1, 0), (0, 2), (2, 1), (0, 0), (1, 1), (5, 1), (2**64, 1)]
+
+
+def path_columns(read):
+    """``read`` with its path's times and values as the result."""
+    def columns(*args):
+        path = read(*args)
+        return path.times, path.values
+    return columns
+
+
+def outcome(read, *args):
+    """("rows", times bits, values bits), or ("error", code, message)."""
+    try:
+        times, values = read(*args)
+    except ConfigError as exc:
+        return "error", exc.code, str(exc)
+    return "rows", times.view(np.int64).tolist(), values.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_readers_match_the_line_loop_reference(tmp_path, case):
+    f = tmp_path / "p.csv"
+    f.write_bytes(READER_CASES[case])
+    assert outcome(path_columns(read_path_csv), f) == outcome(reference_columns, f)
+    for cols in COLUMNS:
+        assert outcome(path_columns(ingest_csv), f, *cols) == outcome(reference_columns, f, *cols)
+
+
+@pytest.mark.parametrize("case, reader", [
+    ("plain", "loadtxt"), ("crlf", "loadtxt"), ("three-columns", "loadtxt"),
+    ("whitespace-only-line", "loop"), ("underscore", "loop"), ("decreasing-time", "loop"),
+    ("header-only", "loop"),
+])
+def test_c_reader_takes_well_formed_files_only(tmp_path, case, reader):
+    """A well-formed file is read by loadtxt; the loop reads or names the fault of the rest."""
+    f = tmp_path / "p.csv"
+    f.write_bytes(READER_CASES[case])
+    assert (cebp.paths._load_columns(f, 0, 1) is not None) == (reader == "loadtxt")
+
+
+@pytest.mark.parametrize("case", ["empty", "only-blank-lines", "header-only"])
+def test_file_without_rows_prints_no_warning(tmp_path, case):
+    """loadtxt warns on a file with no rows; outside the test suite's error filter
+    that warning would reach stderr ahead of the PARSE_ERROR."""
+    f = tmp_path / "p.csv"
+    f.write_bytes(READER_CASES[case])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigError, match="at least 2 rows"):
+            read_path_csv(f)
+    assert seen == []
 
 
 @pytest.mark.parametrize("sidecar", [
