@@ -39,14 +39,18 @@ class WEnsemble:
 MAX_MEAN_POPULATION = 2.0 ** 52
 
 
+def grows_past(dist, generations, bound):
+    """Whether the mean population mu^k passes ``bound``; in logs, so no power of mu overflows."""
+    return generations * np.log2(dist.mu) > np.log2(bound)
+
+
 def check_depth(dist, generations):
     """Refuse a population chain whose counts could overflow 64-bit integers."""
-    expected = dist.mu ** generations
-    if expected > MAX_MEAN_POPULATION:
+    if grows_past(dist, generations, MAX_MEAN_POPULATION):
         raise BudgetError(
             "DEPTH_OVERFLOW",
-            f"expected population mu^k = {expected:.3g} exceeds 2^52, "
-            "so 64-bit counts could overflow",
+            f"expected population mu^k (mu = {dist.mu:g}, k = {generations}) exceeds "
+            "2^52, so 64-bit counts could overflow",
         )
 
 

@@ -8,15 +8,15 @@ duration scaling from that forest.
 
 Passage times nest exactly: a level-n passage is always simultaneously a
 level-(n-1) passage, and for dyadic lattices the interpolation arithmetic
-below reproduces the shared times bit for bit.  The forest assembly relies on
-that by locating subcrossings with plain binary search on the time arrays.
+below reproduces the shared times bit for bit, so ``coarser_passages`` picks a
+coarser level's passages out of the finer level's by index, without a rescan.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalysisError, ConfigError
+from .errors import AnalysisError, BudgetError, ConfigError
 
 __all__ = [
     "LevelCrossings",
@@ -29,6 +29,10 @@ __all__ = [
     "forest_matches_tree",
 ]
 
+# Passages one interpolating scan may find: its eight or so float64 temporaries of
+# that length take about 1 GiB, and a path within the default node budget has fewer.
+MAX_PASSAGES = 2 ** 24
+
 
 def extract_passage_times(path, level):
     """Passage times and lattice values of 2**level * Z along the path.
@@ -36,7 +40,8 @@ def extract_passage_times(path, level):
     The first entry is the path start anchored to its own starting value;
     each subsequent entry is the first time the interpolated path reaches a
     lattice point different from the previous one.  Times come from exact
-    linear-interpolation root finding on the knot segments.
+    linear-interpolation root finding on the knot segments.  More than
+    MAX_PASSAGES of them are refused before any array of that length exists.
     """
     if path.n_knots < 2:
         raise ConfigError("INVALID_CONFIG", "path needs at least 2 knots")
@@ -59,12 +64,12 @@ def extract_passage_times(path, level):
     up = u2 > u1
     lo_f, hi_f = np.floor(u1), np.floor(u2)
     ce_f, ce2_f = np.ceil(u1), np.ceil(u2)
-    n_events = np.where(
-        up,
-        np.maximum(hi_f - lo_f, 0.0),
-        np.maximum(ce_f - ce2_f, 0.0),
-    ).astype(np.int64)
-    total = int(n_events.sum())
+    n_events = np.where(up, np.maximum(hi_f - lo_f, 0.0), np.maximum(ce_f - ce2_f, 0.0))
+    total = n_events.sum()          # in float: an int64 count could wrap
+    if not total <= MAX_PASSAGES:
+        raise BudgetError("PASSAGE_BUDGET_EXCEEDED", f"lattice 2^{level} has {total:.4g} "
+                          f"passages along the path, more than {MAX_PASSAGES}")
+    n_events, total = n_events.astype(np.int64), int(total)
     seg = np.repeat(np.arange(n_events.size), n_events)
     offset = np.arange(total) - np.repeat(
         np.concatenate([[0], np.cumsum(n_events)[:-1]]), n_events
@@ -81,6 +86,14 @@ def extract_passage_times(path, level):
     keep[0] = True
     np.not_equal(k[1:], k[:-1], out=keep[1:])
     return times[keep], path.values[0] + a * k[keep]
+
+
+def coarser_passages(u):
+    """Indices, among level-n passages at integer lattice points ``u``, of the level-(n+1) ones."""
+    even = np.flatnonzero((u & 1) == 0)     # coarser passages: even points unlike the one before
+    keep = np.ones(even.size, dtype=bool)
+    np.not_equal(u[even[1:]], u[even[:-1]], out=keep[1:])
+    return even[keep]
 
 
 @dataclass
@@ -142,15 +155,9 @@ def extract_crossing_forest(path, level_range):
             orientations=np.diff(u).astype(np.int8), subcrossing_counts=z,
         )
         if n < hi:
-            idx = np.nonzero((u & 1) == 0)[0]
-            uu = u[idx] >> 1
-            keep = np.empty(uu.size, dtype=bool)
-            if uu.size:
-                keep[0] = True
-                np.not_equal(uu[1:], uu[:-1], out=keep[1:])
-            kept = idx[keep]
+            kept = coarser_passages(u)
             z = np.diff(kept)
-            times, u = times[kept], uu[keep]
+            times, u = times[kept], u[kept] >> 1
     return CrossingForest(base_level=lo, levels=levels)
 
 

@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .errors import AnalysisError, ConfigError
-from .extract import extract_passage_times
+from .extract import coarser_passages, extract_passage_times
 from .paths import SimulationConfig, path_records, window_deviation
 from .rng import STREAM_GAP, STREAM_INCREMENT, STREAM_QUERY, substream
 from .tailfit import TailFit, fit_log_minus_log, quantile_grid
@@ -88,7 +88,6 @@ def increment_records(dist, t, n_records, master_seed,
         offspring=dist, depth=depth, duration_mode="mean", root_mode="tile",
         target_horizon=INCREMENT_HORIZON, keep_trees=False,
     )
-    config.offspring = dist = config.resolve_offspring()  # once, not once per path
     if not 0 < t < 0.9 * INCREMENT_HORIZON:
         raise ConfigError(
             "INVALID_CONFIG", f"need 0 < t < 0.9 * horizon {INCREMENT_HORIZON}, got t={t}"
@@ -97,7 +96,7 @@ def increment_records(dist, t, n_records, master_seed,
         config, (master_seed, STREAM_INCREMENT), n_records,
         partial(_increment_record, t), workers,
     )).T
-    return IncrementRecords(t=float(t), hurst=float(dist.hurst), plain=plain, sup=sup)
+    return IncrementRecords(t=float(t), hurst=float(config.offspring.hurst), plain=plain, sup=sup)
 
 
 @dataclass
@@ -161,22 +160,18 @@ def remaining_time_records(path, level, n_queries, master_seed, query_index=0):
     if n_queries < 1:
         raise ConfigError("INVALID_CONFIG", f"need n_queries >= 1, got {n_queries}")
     rng = substream(master_seed, STREAM_GAP, query_index)
-    tau, _ = extract_passage_times(path, level)
-    tau_up, _ = extract_passage_times(path, level + 1)
+    tau, values = extract_passage_times(path, level)
+    parents = coarser_passages(np.rint((values - values[0]) * 2.0 ** -level).astype(np.int64))
     t0 = float(path.times[0])
     s = rng.uniform(t0, t0 + 0.9 * path.span, size=n_queries)
     nxt = np.searchsorted(tau, s, side="left")
     ok = nxt < tau.size
     s, nxt = s[ok], nxt[ok]
-    gap = tau[nxt] - s
-    j = np.searchsorted(tau_up, s, side="right") - 1
-    inside = (j >= 0) & (j + 1 < tau_up.size)
-    parent_start = tau_up[np.clip(j, 0, tau_up.size - 1)]
-    y = (np.searchsorted(tau, s, side="right")
-         - np.searchsorted(tau, parent_start, side="right") + 1)
-    y = np.where(inside, y, 0).astype(np.int64)
+    at = np.searchsorted(tau, s, side="right") - 1      # the last passage at or before s
+    j = np.searchsorted(parents, at, side="right") - 1  # the level-(n+1) crossing it starts in
+    y = np.where(j + 1 < parents.size, at - parents[j] + 1, 0)
     return RemainingTimeRecords(
-        level=int(level), mu=path.mu, s=s, gap=gap, next_time=tau[nxt], y=y,
+        level=int(level), mu=path.mu, s=s, gap=tau[nxt] - s, next_time=tau[nxt], y=y,
         n_dropped=int(n_queries - s.size),
     )
 

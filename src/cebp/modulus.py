@@ -63,8 +63,15 @@ class OscillationTable:
         return float(best)
 
 
+def check_width(delta):
+    """Refuse a window or block width that is not a finite number above 0."""
+    if not 0 < delta < np.inf:
+        raise ConfigError("INVALID_CONFIG", f"width must be finite and > 0, got {delta}")
+
+
 def oscillation_table(path, delta):
     """Block oscillation table at the given block width."""
+    check_width(delta)
     t0 = float(path.times[0])
     span = path.span
     if span > MAX_BLOCKS * delta:   # checked before any block array is allocated
@@ -89,6 +96,7 @@ def brute_force_modulus(path, delta):
     points at a knot, so scanning a clipped window around every knot is
     exhaustive.
     """
+    check_width(delta)
     t = path.times
     lo = np.clip(t - delta, t[0], t[-1])
     hi = np.clip(t + delta, t[0], t[-1])

@@ -67,7 +67,7 @@ class SamplePath:
 
 @dataclass
 class SimulationConfig:
-    offspring: object                 # OffspringDistribution or {"family": ..., params}
+    offspring: object                 # OffspringDistribution, made from a {"family": ...} spec
     depth: int
     duration_mode: str = "mean"       # "mean" | "sampled"
     w_generations: int = 12           # chain depth for sampled leaf durations
@@ -77,10 +77,9 @@ class SimulationConfig:
     node_budget: int = DEFAULT_NODE_BUDGET
     keep_trees: bool = True
 
-    def resolve_offspring(self):
-        if isinstance(self.offspring, OffspringDistribution):
-            return self.offspring
-        return make_offspring(**self.offspring)
+    def __post_init__(self):      # once per config, so not once per path
+        if not isinstance(self.offspring, OffspringDistribution):
+            self.offspring = make_offspring(**self.offspring)
 
     def validate(self):
         if self.depth < 1:
@@ -89,8 +88,6 @@ class SimulationConfig:
             raise ConfigError("INVALID_CONFIG", f"unknown duration mode {self.duration_mode!r}")
         if self.root_mode not in ("single", "tile"):
             raise ConfigError("INVALID_CONFIG", f"unknown root mode {self.root_mode!r}")
-        if np.min(self.seed) < 0:          # an int or a key tuple; SeedSequence takes neither below 0
-            raise ConfigError("INVALID_CONFIG", f"seed must be >= 0, got {self.seed!r}")
         if self.node_budget < 1:
             raise ConfigError("INVALID_CONFIG", f"node budget must be >= 1, got {self.node_budget}")
         if self.w_generations < 0:
@@ -119,7 +116,7 @@ def simulate(config):
     integer running sum of all leaf orientations (below 2**53) times 2**-m.
     """
     config.validate()
-    dist = config.resolve_offspring()
+    dist = config.offspring
     tile = config.root_mode == "tile"
     m = config.depth
     trees, steps, total_nodes, n_roots = [], [np.zeros(1, dtype=np.int8)], 0, 0

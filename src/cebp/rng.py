@@ -11,6 +11,8 @@ from concurrent import futures
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "STREAM_W",
     "STREAM_TREE",
@@ -40,7 +42,11 @@ STREAM_MODULUS = 0x4D
 
 def spawn_seed(master_seed, *key):
     """SeedSequence for the substream named by ``key`` under ``master_seed``."""
-    return np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
+    try:
+        return np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
+    except ValueError as exc:       # numpy takes no seed or key entry below 0
+        raise ConfigError("INVALID_CONFIG",
+                          f"seeds and keys must be >= 0, got {master_seed!r} and {key}") from exc
 
 
 def substream(master_seed, *key):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import chain_blocks
+from .branching import chain_blocks, grows_past
 from .errors import BudgetError, ConfigError
 
 __all__ = [
@@ -117,10 +117,10 @@ def expand_tree(dist, root_orientation, depth, rng, node_budget=DEFAULT_NODE_BUD
         raise ConfigError("INVALID_Z", f"depth must be >= 0, got {depth}")
     if root_orientation not in (UP, DOWN):
         raise ConfigError("INVALID_Z", f"root orientation must be +1 or -1, got {root_orientation!r}")
-    if dist.mu ** depth > 4.0 * node_budget:
+    if grows_past(dist, depth, 4.0 * node_budget):
         raise BudgetError(
             "NODE_BUDGET_EXCEEDED",
-            f"expected population mu^m = {dist.mu ** depth:.3g} far exceeds "
+            f"expected population mu^m (mu = {dist.mu:g}, m = {depth}) far exceeds "
             f"node budget {node_budget:g}",
         )
     orientations = [np.array([root_orientation], dtype=np.int8)]

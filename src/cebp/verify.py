@@ -161,8 +161,7 @@ def verify_remaining_time(family=None, depth=9, level=-6, n_paths=10,
     if queries_per_path < 1:        # before any path is simulated
         raise ConfigError("INVALID_CONFIG", f"need queries_per_path >= 1, got {queries_per_path}")
     spec = GEOM_HALF if family is None else family
-    config = SimulationConfig(offspring=make_offspring(**spec), depth=depth,
-                              duration_mode="sampled", keep_trees=False)
+    config = SimulationConfig(offspring=spec, depth=depth, duration_mode="sampled", keep_trees=False)
     fit = remaining_time_tail(path_records(
         config, (seed, STREAM_PATH), n_paths,
         partial(_remaining_record, level, queries_per_path), workers,
@@ -209,11 +208,10 @@ def verify_modulus(specs=MODULUS_SPECS, n_seeds=50, l_range=(4, 12), seed=0, wor
     l_lo, l_hi = level_range(l_range)
     results = []
     for k, spec in enumerate(specs):
-        dist = make_offspring(**spec["family"])
         # sampled populations fluctuate a few-fold around mu**depth, and
         # tiling may stack several roots, so leave generous node headroom
         config = SimulationConfig(
-            offspring=dist, depth=spec["depth"], duration_mode="sampled",
+            offspring=spec["family"], depth=spec["depth"], duration_mode="sampled",
             w_generations=spec["w_generations"], root_mode="tile", target_horizon=1.0,
             keep_trees=False, node_budget=60_000_000,
         )
@@ -225,7 +223,7 @@ def verify_modulus(specs=MODULUS_SPECS, n_seeds=50, l_range=(4, 12), seed=0, wor
         a, b, _, halves, ok = band_stability(range(l_lo, l_hi + 1), per_level)
         results.append({
             "family": _family_label(spec["family"]),
-            "hurst": dist.hurst,
+            "hurst": config.offspring.hurst,
             "depth": spec["depth"],
             "w_generations": spec["w_generations"],
             "band": (a, b),
@@ -256,19 +254,18 @@ def verify_scale_invariance(family=None, depth=9, levels=(-8, -7),
     under SCALE_KS_MAX.
     """
     spec = GEOM_HALF if family is None else family
-    dist = make_offspring(**spec)
     # tiling to a fixed horizon keeps the per-level crossing counts above
     # mu**-level regardless of the root duration draw
     cfg = SimulationConfig(
-        offspring=dist, depth=depth, duration_mode="sampled",
+        offspring=spec, depth=depth, duration_mode="sampled",
         root_mode="tile", target_horizon=1.0,
         seed=(seed, STREAM_PATH, 0), keep_trees=False,
     )
     path = simulate(cfg)
     forest = extract_crossing_forest(path, (int(levels[0]), int(levels[1])))
-    report = duration_scale_invariance(forest, mu=dist.mu,
+    report = duration_scale_invariance(forest, mu=path.mu,
                                        min_crossings=min_crossings)
-    control = duration_scale_invariance(forest, mu=SCALE_CONTROL_FACTOR * dist.mu,
+    control = duration_scale_invariance(forest, mu=SCALE_CONTROL_FACTOR * path.mu,
                                         min_crossings=min_crossings)
     ok = report["max_ks"] < SCALE_KS_MAX and control["max_ks"] > SCALE_CONTROL_MIN
     return {
@@ -278,10 +275,10 @@ def verify_scale_invariance(family=None, depth=9, levels=(-8, -7),
                    "min_crossings": min_crossings, "seed": seed,
                    "ks_max": SCALE_KS_MAX, "control_factor": SCALE_CONTROL_FACTOR,
                    "control_min": SCALE_CONTROL_MIN},
-        "mu": dist.mu,
+        "mu": path.mu,
         "max_ks": report["max_ks"],
         "pairs": report["pairs"],
-        "control_mu": SCALE_CONTROL_FACTOR * dist.mu,
+        "control_mu": SCALE_CONTROL_FACTOR * path.mu,
         "control_ks": control["max_ks"],
         "pass": bool(ok),
     }

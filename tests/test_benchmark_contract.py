@@ -1,10 +1,12 @@
-"""The benchmark's `roundtrip` checks pass on the CLI's artifacts.
+"""The benchmark's `roundtrip` and remaining-time checks pass on small runs.
 
 `perfbench/checks.py` reads the `simulate` and `analyze` artifacts with the
-standard library alone and checks them against closed forms.  This test runs
-those checks on a small run, so that an artifact layout change that would
-break the benchmark fails here first.  A change to the benchmark that edits
-`checks.py` updates this test with it.
+standard library alone and checks them against closed forms; it also checks
+the remaining-time records' chord slope and gaps.  These tests run those
+checks on small runs made with the benchmark's own calls, so that an artifact
+layout change, or a change to the records' signature or law, that would break
+the benchmark fails here first.  A change to the benchmark that edits
+`checks.py` or those calls updates these tests with it.
 """
 
 import importlib.util
@@ -14,8 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cebp
 from cebp.cli import main
-from cebp.paths import read_path_csv
+from cebp.paths import SimulationConfig, read_path_csv
 
 CHECKS_FILE = Path(__file__).parents[1] / "perfbench" / "checks.py"
 DEPTH = 5
@@ -66,3 +69,16 @@ def test_tree_reader_needs_the_z_field(checks, run, tmp_path):
                             for rec in recs))
     with pytest.raises(KeyError):
         checks.read_tree_levels(no_z)
+
+
+def test_remaining_checks_pass_on_the_records(checks):
+    """The probe scale of the benchmark's `rem` task: depth 8, 2 paths, level -6."""
+    batches = []
+    for i, seed in enumerate((1, 2)):
+        path = cebp.simulate(SimulationConfig(
+            offspring={"family": "geometric-pairs", "p": 0.5}, depth=8, duration_mode="sampled",
+            seed=seed, keep_trees=False))
+        batches.append(cebp.remaining_time_records(
+            path, level=-6, n_queries=10_000, master_seed=3, query_index=i))
+    fit = cebp.remaining_time_tail(batches)
+    assert checks.check_remaining(fit.slope, np.concatenate([b.gap for b in batches])) == []

@@ -600,6 +600,29 @@ def test_incomplete_request_is_invalid_config(tmp_path, monkeypatch, capsys, arg
     assert list(tmp_path.iterdir()) == [tmp_path / "ramp.csv"]
 
 
+@pytest.mark.parametrize("argv, code", [
+    ((*SIM, "--depth", "1000"), "NODE_BUDGET_EXCEEDED"),
+    ((*SIM, "--depth", "3", "--mode", "sampled", "--w-generations", "1000"), "DEPTH_OVERFLOW"),
+    (("verify", "increments", "--depth", "1000", "--records", "1"), "NODE_BUDGET_EXCEEDED"),
+    (("verify", "modulus", "--depth", "2000", "--seeds", "1"), "DEPTH_OVERFLOW"),
+], ids=["simulate-depth", "simulate-w-generations", "increments-depth", "modulus-depth"])
+def test_growth_past_a_double_is_budget_error(tmp_path, monkeypatch, capsys, argv, code):
+    """mu^k past 2^1024 is compared in logs, not formed."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--out", "out") == 3
+    assert code in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_passages_past_the_budget_are_budget_error(tmp_path, monkeypatch, capsys):
+    """About 2.4e29 passages of 2^900 Z: refused from their float count, before any allocation."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.csv").write_text("0,0\n1,1e300\n2,0\n")
+    assert run_cli("analyze", "--path", "big.csv", "--levels", "900:1000", "--out", "an") == 3
+    assert "PASSAGE_BUDGET_EXCEEDED" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "big.csv"]
+
+
 def test_tiling_past_the_node_budget_is_budget_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run_cli(*SIM, "--depth", "4", "--root-mode", "tile", "--horizon", "50",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cebp.errors import AnalysisError, ConfigError
+from cebp.extract import extract_passage_times
 from cebp.increments import (
     IncrementRecords,
     RemainingTimeRecords,
@@ -14,6 +15,7 @@ from cebp.increments import (
 )
 from cebp.offspring import make_offspring
 from cebp.paths import SamplePath, SimulationConfig, simulate
+from cebp.rng import STREAM_GAP, substream
 
 GEOM = {"family": "geometric-pairs", "p": 0.5}
 
@@ -154,3 +156,64 @@ def test_remaining_time_tail_on_an_empty_pool_is_analysis_error():
     with pytest.raises(AnalysisError) as err:
         remaining_time_tail(rec)
     assert err.value.code == "INSUFFICIENT_TAIL_POINTS"
+
+
+def reference_remaining_time_records(path, level, n_queries, master_seed, query_index=0):
+    """The two-scan ``remaining_time_records``, kept as its oracle.
+
+    It extracts the passages at level n and again at n + 1, and finds each
+    query's enclosing level-(n+1) crossing by binary search on the second scan.
+    """
+    rng = substream(master_seed, STREAM_GAP, query_index)
+    tau, _ = extract_passage_times(path, level)
+    tau_up, _ = extract_passage_times(path, level + 1)
+    t0 = float(path.times[0])
+    s = rng.uniform(t0, t0 + 0.9 * path.span, size=n_queries)
+    nxt = np.searchsorted(tau, s, side="left")
+    ok = nxt < tau.size
+    s, nxt = s[ok], nxt[ok]
+    gap = tau[nxt] - s
+    j = np.searchsorted(tau_up, s, side="right") - 1
+    inside = (j >= 0) & (j + 1 < tau_up.size)
+    parent_start = tau_up[np.clip(j, 0, tau_up.size - 1)]
+    y = (np.searchsorted(tau, s, side="right")
+         - np.searchsorted(tau, parent_start, side="right") + 1)
+    y = np.where(inside, y, 0).astype(np.int64)
+    return RemainingTimeRecords(
+        level=int(level), mu=path.mu, s=s, gap=gap, next_time=tau[nxt], y=y,
+        n_dropped=int(n_queries - s.size),
+    )
+
+
+RECORD_PATHS = [(p, mode, root_mode) for p in (0.5, 0.25) for mode in ("mean", "sampled")
+                for root_mode in ("single", "tile")] + [None]
+
+
+@pytest.mark.parametrize("kind", RECORD_PATHS,
+                         ids=lambda kind: "-".join(map(str, kind or ["ramp"])))
+def test_remaining_time_records_match_the_two_scan_reference(kind):
+    """Bitwise, at every level from the path's resolution to one above its root.
+
+    A single root at level 1 has no passage after its start, so every query is
+    dropped; at level 0 there is no complete level-1 crossing, so y is 0.  The
+    16-step ramp (``kind`` None) has one level-4 crossing and none at level 5.
+    """
+    for seed in (1, 2, 3):
+        if kind is None:
+            path, levels = _ramp16(), range(0, 6)
+        else:
+            p, mode, root_mode = kind
+            depth = 6 if p == 0.5 else 4
+            path = simulate(SimulationConfig(
+                offspring={"family": "geometric-pairs", "p": p}, depth=depth,
+                duration_mode=mode, root_mode=root_mode, target_horizon=3.0, seed=seed,
+                keep_trees=False))
+            levels = range(-depth, 2)
+        for i, level in enumerate(levels):
+            got = remaining_time_records(path, level, 2000, master_seed=seed, query_index=i)
+            ref = reference_remaining_time_records(path, level, 2000, master_seed=seed,
+                                                   query_index=i)
+            for name in ("s", "gap", "next_time", "y"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (seed, level, name)
+            assert (got.level, got.mu, got.n_dropped) == (ref.level, ref.mu, ref.n_dropped)

@@ -130,3 +130,14 @@ def test_block_budget_refused_before_allocating():
     with pytest.raises(BudgetError) as err:
         oscillation_table(ramp, 2.0 ** -21)
     assert err.value.code == "BLOCK_BUDGET_EXCEEDED"
+
+
+@pytest.mark.parametrize("width", [np.nan, 0.0, -1.0, np.inf])
+@pytest.mark.parametrize("modulus", [oscillation_table, brute_force_modulus])
+def test_width_that_is_not_finite_and_positive_is_config_error(modulus, width):
+    """Refused before the block budget: a width of 0 or below is no budget overrun."""
+    path = simulate(SimulationConfig(offspring={"family": "geometric-pairs", "p": 0.5},
+                                     depth=4, seed=1))
+    with pytest.raises(ConfigError) as err:
+        modulus(path, width)
+    assert err.value.code == "INVALID_CONFIG"

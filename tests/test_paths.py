@@ -9,7 +9,9 @@ from scipy import stats
 
 import cebp.branching
 import cebp.paths
+from cebp.branching import sample_W
 from cebp.errors import BudgetError, ConfigError
+from cebp.increments import remaining_time_records
 from cebp.offspring import make_offspring
 from cebp.paths import (SamplePath, SimulationConfig, float_text, ingest_csv, path_records,
                         read_path_csv, simulate, write_path_csv, write_xy_csv)
@@ -456,6 +458,19 @@ def test_negative_seed_is_config_error(seed):
     assert err.value.code == "INVALID_CONFIG"
 
 
+@pytest.mark.parametrize("draw", [
+    lambda path: sample_W(make_offspring("geometric-pairs", p=0.5), 12, 10, seed=-1),
+    lambda path: remaining_time_records(path, -2, 10, master_seed=-1),
+    lambda path: remaining_time_records(path, -2, 10, master_seed=0, query_index=-1),
+], ids=["sample-W", "remaining-time-seed", "remaining-time-query-index"])
+def test_stream_under_a_negative_seed_or_key_is_config_error(draw):
+    """Every stream opens through ``rng.spawn_seed``, which refuses what numpy would."""
+    path = simulate(SimulationConfig(offspring={"family": "geometric-pairs", "p": 0.5}, depth=3))
+    with pytest.raises(ConfigError) as err:
+        draw(path)
+    assert err.value.code == "INVALID_CONFIG"
+
+
 @pytest.mark.parametrize("n", [0, -2])
 def test_path_records_refuses_fewer_than_one_path(monkeypatch, n):
     monkeypatch.setattr(cebp.paths, "simulate", lambda config: pytest.fail("a path was simulated"))
@@ -473,7 +488,7 @@ def test_a_record_sees_its_path_and_seed():
 
 def reference_assembly(config):
     """The per-root assembly loop of ``simulate``, kept as its oracle: (times, values)."""
-    dist, m = config.resolve_offspring(), config.depth
+    dist, m = config.offspring, config.depth
     chunks_t, chunks_v = [np.array([0.0])], [np.array([0.0])]
     n_roots = 0
     while n_roots == 0 or (config.root_mode == "tile"
