@@ -12,6 +12,7 @@ under the master seed, and sample i comes from block i // W_BLOCK, so neither
 the chunking of the index range, nor the worker or thread count, changes a bit.
 """
 
+import math
 import os
 from concurrent import futures
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ MAX_MEAN_POPULATION = 2.0 ** 52
 
 def grows_past(dist, generations, bound):
     """Whether the mean population mu^k passes ``bound``; in logs, so no power of mu overflows."""
-    return generations * np.log2(dist.mu) > np.log2(bound)
+    return bound <= 0 or generations * math.log2(dist.mu) > math.log2(bound)
 
 
 def check_depth(dist, generations):

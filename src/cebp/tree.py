@@ -117,7 +117,7 @@ def expand_tree(dist, root_orientation, depth, rng, node_budget=DEFAULT_NODE_BUD
         raise ConfigError("INVALID_Z", f"depth must be >= 0, got {depth}")
     if root_orientation not in (UP, DOWN):
         raise ConfigError("INVALID_Z", f"root orientation must be +1 or -1, got {root_orientation!r}")
-    if grows_past(dist, depth, 4.0 * node_budget):
+    if grows_past(dist, depth, 4 * node_budget):
         raise BudgetError(
             "NODE_BUDGET_EXCEEDED",
             f"expected population mu^m (mu = {dist.mu:g}, m = {depth}) far exceeds "

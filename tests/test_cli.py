@@ -614,6 +614,11 @@ def test_growth_past_a_double_is_budget_error(tmp_path, monkeypatch, capsys, arg
     assert list(tmp_path.iterdir()) == []
 
 
+def test_node_budget_past_a_double_is_taken(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*SIM, "--depth", "3", "--node-budget", "9" * 400, "--out", "out") == 0
+
+
 def test_passages_past_the_budget_are_budget_error(tmp_path, monkeypatch, capsys):
     """About 2.4e29 passages of 2^900 Z: refused from their float count, before any allocation."""
     monkeypatch.chdir(tmp_path)
