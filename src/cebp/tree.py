@@ -121,7 +121,7 @@ def expand_tree(dist, root_orientation, depth, rng, node_budget=DEFAULT_NODE_BUD
         raise BudgetError(
             "NODE_BUDGET_EXCEEDED",
             f"expected population mu^m (mu = {dist.mu:g}, m = {depth}) far exceeds "
-            f"node budget {node_budget:g}",
+            f"node budget {node_budget}",
         )
     orientations = [np.array([root_orientation], dtype=np.int8)]
     total = 1

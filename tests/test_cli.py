@@ -614,9 +614,11 @@ def test_growth_past_a_double_is_budget_error(tmp_path, monkeypatch, capsys, arg
     assert list(tmp_path.iterdir()) == []
 
 
-def test_node_budget_past_a_double_is_taken(tmp_path, monkeypatch):
+def test_node_budget_past_a_double_is_taken(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run_cli(*SIM, "--depth", "3", "--node-budget", "9" * 400, "--out", "out") == 0
+    assert run_cli(*SIM, "--depth", "1000", "--node-budget", "9" * 400, "--out", "deep") == 3
+    assert "NODE_BUDGET_EXCEEDED" in capsys.readouterr().err
 
 
 def test_passages_past_the_budget_are_budget_error(tmp_path, monkeypatch, capsys):
